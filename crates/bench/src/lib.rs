@@ -1,4 +1,4 @@
-//! # felim-bench — figure regeneration and performance benchmarks
+//! # felim-bench — figure and table regeneration
 //!
 //! One binary per paper artifact (`cargo run --release -p felim-bench
 //! --bin <target>`):
@@ -20,8 +20,8 @@
 //!
 //! Each binary prints the paper's rows/series to stdout and appends a
 //! machine-readable record to `results/experiments.jsonl` (used to build
-//! `EXPERIMENTS.md`). Criterion benches (`cargo bench`) measure the
-//! engines themselves plus the ablations listed in `DESIGN.md`.
+//! `EXPERIMENTS.md`). Host and simulated performance is measured by the
+//! separate `felim_benchmark` package (`bash felim_benchmark/run.sh`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,7 @@
 //! *varied* ferroelectric device (drawn via [`felim_ferro::variation`]).
 //! Because each sample's [`felim_ferro::MfmParams`] differ, the
 //! content-addressed memo cache in [`crate::transients`] can never serve
-//! a hit — this campaign measures (and stresses) the raw solver, which
-//! is exactly why the `bench_pr4` throughput benchmark is built on it.
+//! a hit — this campaign measures (and stresses) the raw solver.
 //!
 //! Samples fan out over the scoped thread pool; sample `i` draws from a
 //! generator seeded with `derive_seed(seed, i)`, so the report is

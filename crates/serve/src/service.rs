@@ -10,8 +10,8 @@
 //! every shard's batch concurrently on a persistent
 //! [`felim_exec::ExecPool`]. The tick's *duration* is the
 //! slowest shard's subarray-parallel makespan, so simulated time shrinks
-//! as sharding spreads the same row-work wider — the scaling the PR-7
-//! benchmark measures. A request's latency is the simulated-cycle delta
+//! as sharding spreads the same row-work wider (`tests/service.rs`
+//! asserts ≥1.5× from 1 to 4 shards). A request's latency is the simulated-cycle delta
 //! between admission and completion: queue wait plus execution.
 //!
 //! # Determinism
@@ -101,8 +101,8 @@ pub struct ServiceConfig {
     /// Requests coalesced per tick (the batching window).
     pub batch_window: usize,
     /// Per-tenant batch-window overrides as `(tenant, window)` pairs,
-    /// for latency-sensitive tenants opting out of coalescing (the
-    /// BENCH_PR7 w1/w8 tradeoff). A tick's effective window is the
+    /// for latency-sensitive tenants opting out of coalescing (window 1
+    /// trades throughput for latency). A tick's effective window is the
     /// minimum over the tenants it includes, so a window-1 tenant's
     /// requests never share a tick. Validated when the service is
     /// built: tenants must exist, windows must be non-zero.
@@ -315,8 +315,7 @@ impl LatencySummary {
     }
 }
 
-/// End-of-run summary of a service lifetime (what the PR-7 benchmark
-/// sweeps and what `run_service_campaign` reports).
+/// End-of-run summary of a service lifetime.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServiceReport {
     /// Shards configured.
@@ -2268,8 +2267,9 @@ mod tests {
     }
 
     /// Drives the same small campaign through `svc` and returns the
-    /// serialised response log plus the final contents of `d`.
-    fn campaign(mut svc: BulkService) -> (String, Vec<Vec<u64>>) {
+    /// serialised response log, the final contents of `d`, and the
+    /// simulated cycles the campaign took.
+    fn campaign(mut svc: BulkService) -> (String, Vec<Vec<u64>>, u64) {
         svc.create_vector("a", 8).unwrap();
         svc.create_vector("b", 8).unwrap();
         svc.create_vector("d", 8).unwrap();
@@ -2286,14 +2286,15 @@ mod tests {
         svc.drain();
         let log = serde_json::to_string(&svc.take_responses()).unwrap();
         let rows = svc.read_vector("d").unwrap();
-        (log, rows)
+        (log, rows, svc.sim_cycles())
     }
 
     #[test]
     fn replication_on_is_byte_identical_to_replication_off() {
         // Standbys are exact copies and never influence settled
         // responses — the response log and readback must match the
-        // unreplicated service bit for bit, on both tiers.
+        // unreplicated service bit for bit, on both tiers — and never
+        // extend the settled makespan, so simulated time matches too.
         for tier in [
             ServiceTier::Baseline,
             ServiceTier::Protected {
@@ -2308,10 +2309,11 @@ mod tests {
                 standbys: 2,
                 ..ReplicationConfig::default()
             });
-            let (log_off, rows_off) = campaign(BulkService::new(plain).unwrap());
-            let (log_on, rows_on) = campaign(BulkService::new(replicated).unwrap());
+            let (log_off, rows_off, cycles_off) = campaign(BulkService::new(plain).unwrap());
+            let (log_on, rows_on, cycles_on) = campaign(BulkService::new(replicated).unwrap());
             assert_eq!(log_on, log_off, "replication must be invisible in the log");
             assert_eq!(rows_on, rows_off);
+            assert_eq!(cycles_on, cycles_off, "standbys must not extend simulated time");
         }
     }
 
@@ -2404,8 +2406,8 @@ mod tests {
     fn adaptive_window_widens_under_pressure_and_narrows_for_deadlines() {
         // Throughput mode: a deep queue with no deadlines should widen
         // the window past the configured batch_window, finishing in
-        // fewer batches than the fixed-window service (the BENCH_PR7
-        // w1/w8 tradeoff, chosen automatically).
+        // fewer batches than the fixed-window service (the window-1 vs
+        // window-8 throughput/latency tradeoff, chosen automatically).
         let drive = |adaptive: bool, deadlines: bool| -> (u64, usize) {
             let mut cfg = ServiceConfig::small(2);
             cfg.batch_window = 2;

@@ -9,8 +9,8 @@
 //! [`schedule`] to price it as a *makespan* under subarray parallelism
 //! (one slot per subarray), and finally clears the log so the next
 //! batch's replay stands alone. The service charges each virtual tick
-//! the slowest shard's makespan — the quantity the PR-7 benchmark sweeps
-//! against shard count.
+//! the slowest shard's makespan, so more shards shrink simulated time
+//! for the same row-work.
 
 use felim_arch::batch::{execute_batch, RowOp, RowOpOutput};
 use felim_arch::controller::{ControllerConfig, ReliabilityController};

@@ -149,6 +149,85 @@ fn killing_the_primary_mid_campaign_fails_over_with_a_byte_identical_log() {
 }
 
 #[test]
+fn failover_recovery_stays_within_the_paced_rebuild_bound() {
+    // Rebuild pacing small enough that the snapshot transfer spans
+    // several ticks, so the bound is actually exercised.
+    const CHUNK: u64 = 1 << 14;
+    // Ticks allowed beyond the pure transfer: one to observe the fault,
+    // one to snapshot, and scheduling slack.
+    const SLACK: u64 = 4;
+
+    let daemon = spawn_daemon();
+    let upstream = daemon.addr().parse().expect("daemon addr parses");
+    let chaos = ChaosProxy::start(
+        upstream,
+        ChaosSpec {
+            seed: 0xA10,
+            kill_mid_frame_at: Some(11),
+            ..ChaosSpec::default()
+        },
+    )
+    .expect("proxy binds");
+    let mut config = base_config(ServiceTier::Baseline);
+    config.seed = 0xA10;
+    config.queue_depth = 256;
+    config.tenant_quota = Some(256);
+    config.replication = Some(ReplicationConfig {
+        rebuild_chunk_bytes: CHUNK,
+        ..ReplicationConfig::default()
+    });
+    config.remote_shards = vec![(0, chaos.addr().to_string())];
+
+    let mut trace = TraceSpec::small(0xA10);
+    trace.vector_rows = 32;
+    trace.requests = 96;
+    let (vectors, events) = generate_trace(&trace);
+    let mut service = BulkService::new(config).expect("valid config");
+    for (name, rows) in &vectors {
+        service.create_vector(name, *rows).expect("vectors fit");
+    }
+    // Step by hand so the promotion and rejoin ticks are observed
+    // exactly.
+    let (mut next, mut promoted_at, mut rebuilt_at) = (0, None, None);
+    for _ in 0..100_000 {
+        while next < events.len() && events[next].at_tick <= service.now() {
+            let ev = &events[next];
+            let _ = service.submit(ev.tenant, ev.op.clone(), ev.deadline_ticks);
+            next += 1;
+        }
+        service.step();
+        let replica = service.report().replica.expect("replication configured");
+        if promoted_at.is_none() && replica.failovers > 0 {
+            promoted_at = Some(service.now());
+        }
+        if rebuilt_at.is_none() && replica.rebuilds_completed > 0 {
+            rebuilt_at = Some(service.now());
+        }
+        if next == events.len() && service.responses().len() >= events.len() && rebuilt_at.is_some()
+        {
+            break;
+        }
+    }
+    let promoted_at = promoted_at.expect("the chaos kill fires mid-campaign");
+    let rebuilt_at = rebuilt_at.expect("the retired primary rebuilds");
+
+    let report = service.report();
+    let replica = report.replica.expect("replication configured");
+    assert_eq!(replica.failovers, 1, "exactly one transport failover");
+    assert_eq!(report.stats.transport_errors, 0, "the standby absorbed the fault");
+    // The bound the design guarantees: the snapshot the rebuild actually
+    // transferred, paced at CHUNK bytes per tick, plus fixed slack.
+    let bound = replica.rebuild_snapshot_bytes.div_ceil(CHUNK) + SLACK;
+    let recovery = rebuilt_at - promoted_at;
+    assert!(
+        recovery <= bound,
+        "recovery took {recovery} ticks, bound is {bound} \
+         (snapshot {} B at {CHUNK} B/tick)",
+        replica.rebuild_snapshot_bytes
+    );
+}
+
+#[test]
 fn a_clean_connection_drop_also_fails_over_without_log_damage() {
     let trace = small_trace();
     let (want_log, _) = replay(base_config(ServiceTier::Baseline), &trace);

@@ -49,7 +49,6 @@ pub mod data;
 pub mod driver;
 pub mod masked_init;
 pub mod query;
-pub mod service_campaign;
 pub mod setops;
 pub mod xor_cipher;
 

@@ -108,25 +108,35 @@ fn campaign_controller_eliminates_silent_corruption_where_hardened_leaks() {
     // rots *silently*, because triple-read voting faithfully confirms
     // whatever the decayed cells now hold. The controller tier reports
     // zero silent corruptions and zero unreported escapes at the exact
-    // same operating point.
+    // same operating point — with and without QNRO read disturb, and at
+    // every patrol period from 5 to 20 minutes.
     let policy = DegradationPolicy::hardened();
 
-    let leaky = ReliabilityCampaignSpec::bake_oven(42, ReliabilityTier::Unprotected);
-    let hardened = run_reliability_campaign(8, 7, &leaky, &policy);
-    let leaked = campaign_silent_rows(&hardened);
-    assert!(leaked >= 1, "hardened must provably leak here, got {leaked}");
+    for disturb in [0.0, 1e-4] {
+        let mut leaky = ReliabilityCampaignSpec::bake_oven(42, ReliabilityTier::Unprotected);
+        leaky.drift.disturb_per_read = disturb;
+        let hardened = run_reliability_campaign(8, 7, &leaky, &policy);
+        let leaked = campaign_silent_rows(&hardened);
+        assert!(leaked >= 1, "disturb {disturb}: hardened must provably leak, got {leaked}");
 
-    let guarded = ReliabilityCampaignSpec::bake_oven(42, ReliabilityTier::Protected);
-    let protected = run_reliability_campaign(8, 7, &guarded, &policy);
-    assert_eq!(campaign_silent_rows(&protected), 0, "silent corruption");
-    for o in &protected {
-        assert!(o.completed, "{} must complete", o.workload);
-        assert_eq!(o.silent_rows, 0, "{}: unreported escape", o.workload);
+        for scrub_period_s in [300.0, 600.0, 1200.0] {
+            let at = format!("disturb {disturb}, scrub {scrub_period_s} s");
+            let mut guarded = ReliabilityCampaignSpec::bake_oven(42, ReliabilityTier::Protected);
+            guarded.drift.disturb_per_read = disturb;
+            guarded.scrub_period_s = scrub_period_s;
+            let protected = run_reliability_campaign(8, 7, &guarded, &policy);
+            assert_eq!(campaign_silent_rows(&protected), 0, "{at}: silent corruption");
+            for o in &protected {
+                assert!(o.completed, "{at}: {} must complete", o.workload);
+                assert_eq!(o.silent_rows, 0, "{at}: {}: unreported escape", o.workload);
+            }
+            // The run was not vacuous: physics fired and the controller
+            // worked.
+            assert!(protected.iter().map(|o| o.drift_flips).sum::<u64>() > 0, "{at}");
+            assert!(protected.iter().map(|o| o.corrected_bits).sum::<u64>() > 0, "{at}");
+            assert!(protected.iter().map(|o| o.scrub_passes).sum::<u64>() > 0, "{at}");
+        }
     }
-    // The run was not vacuous: physics fired and the controller worked.
-    assert!(protected.iter().map(|o| o.drift_flips).sum::<u64>() > 0);
-    assert!(protected.iter().map(|o| o.corrected_bits).sum::<u64>() > 0);
-    assert!(protected.iter().map(|o| o.scrub_passes).sum::<u64>() > 0);
 }
 
 #[test]

@@ -193,8 +193,8 @@ fn sharding_preserves_results_and_shrinks_simulated_time() {
     let (four, cycles_four) = digest_of(4);
     assert_eq!(one, four, "sharding must not change any vector's bits");
     assert!(
-        cycles_four < cycles_one,
-        "4 shards must finish the same work in less simulated time \
+        cycles_one as f64 >= 1.5 * cycles_four as f64,
+        "1 → 4 shards must scale simulated throughput ≥1.5× \
          ({cycles_four} vs {cycles_one} cycles)"
     );
 }
@@ -329,6 +329,122 @@ fn read_cache_is_transparent_and_saves_simulated_time() {
         cycles_on < cycles_off,
         "cache hits must shrink simulated time ({cycles_on} vs {cycles_off})"
     );
+}
+
+/// CRC-8/ATM generator polynomial, x^8 + x^2 + x + 1.
+const CRC8_POLY: u8 = 0x07;
+
+/// The bit-sliced CRC-8 update as one DSL program: for each message bit,
+/// fold it into the running remainder and shift. Shifts are renames —
+/// free in the fused plan, materialised copies in the per-op stream.
+fn crc8_program() -> String {
+    let mut lines = Vec::new();
+    for i in 0..8 {
+        lines.push(format!("fb = c7 ^ m{i}"));
+        for k in (1..8).rev() {
+            if (CRC8_POLY >> k) & 1 == 1 {
+                lines.push(format!("c{k} = c{} ^ fb", k - 1));
+            } else {
+                lines.push(format!("c{k} = c{}", k - 1));
+            }
+        }
+        lines.push("c0 = fb".to_string());
+    }
+    lines.join("\n")
+}
+
+/// The same update as an op-at-a-time request stream. Copies are
+/// `x OR x → dst`; the shift walks top-down so every read still sees the
+/// pre-shift value.
+fn crc8_requests() -> Vec<LogicalOp> {
+    let copy = |src: String, dst: String| LogicalOp::Or {
+        a: src.clone(),
+        b: src,
+        dst,
+    };
+    let mut ops = Vec::new();
+    for i in 0..8 {
+        ops.push(LogicalOp::Xor {
+            a: "c7".into(),
+            b: format!("m{i}"),
+            dst: "fb".into(),
+        });
+        for k in (1..8).rev() {
+            if (CRC8_POLY >> k) & 1 == 1 {
+                ops.push(LogicalOp::Xor {
+                    a: format!("c{}", k - 1),
+                    b: "fb".into(),
+                    dst: format!("c{k}"),
+                });
+            } else {
+                ops.push(copy(format!("c{}", k - 1), format!("c{k}")));
+            }
+        }
+        ops.push(copy("fb".into(), "c0".into()));
+    }
+    ops
+}
+
+#[test]
+fn fused_crc8_kernel_beats_the_per_op_stream_in_simulated_time() {
+    // Two CRC-8 updates over 16-row slices at 4 shards, once as fused
+    // kernels and once op at a time. Both must leave the same remainder;
+    // the fused plan must need at most 1/1.3 of the simulated cycles.
+    let run = |tier: ServiceTier, fused: bool| {
+        let mut config = ServiceConfig::small(4);
+        config.tier = tier;
+        config.queue_depth = 256;
+        config.tenant_quota = Some(256);
+        config.batch_window = 8;
+        // The plan peaks at 19 live scratch slots per 16-row stripe.
+        config.kernel_scratch_rows = 384;
+        let mut service = build(config);
+        let t = TenantId(0);
+        let slices: Vec<String> = (0..8)
+            .flat_map(|i| [format!("c{i}"), format!("m{i}")])
+            .collect();
+        for (i, name) in slices.iter().chain([&"fb".to_string()]).enumerate() {
+            service.create_vector(name, 16).expect("fits");
+            let words = vec![felim::exec::derive_seed(0x9b8, i as u64)];
+            service
+                .submit(t, LogicalOp::Write { dst: name.clone(), words }, None)
+                .expect("seed write admitted");
+        }
+        service.drain();
+        for _ in 0..2 {
+            if fused {
+                let bindings = slices.iter().map(|n| (n.clone(), n.clone())).collect();
+                let program = LogicalOp::Kernel { program: crc8_program(), bindings };
+                service.submit(t, program, None).expect("kernel admitted");
+            } else {
+                for op in crc8_requests() {
+                    service.submit(t, op, None).expect("op admitted");
+                }
+            }
+            service.drain();
+        }
+        assert!(service.take_responses().iter().all(|r| r.is_ok()));
+        let remainder: Vec<_> = (0..8)
+            .map(|i| service.read_vector(&format!("c{i}")).expect("readable"))
+            .collect();
+        (remainder, service.sim_cycles())
+    };
+    for tier in [
+        ServiceTier::Baseline,
+        ServiceTier::Protected {
+            drift: DriftSpec::quiet(0x9b8),
+            scrub_period_s: 1.0,
+        },
+    ] {
+        let (per_op, per_op_cycles) = run(tier.clone(), false);
+        let (fused, fused_cycles) = run(tier.clone(), true);
+        assert_eq!(fused, per_op, "{tier:?}: both strategies compute the same CRC");
+        assert!(
+            per_op_cycles as f64 >= 1.3 * fused_cycles as f64,
+            "{tier:?}: fused CRC-8 must beat per-op by ≥1.3× \
+             ({fused_cycles} vs {per_op_cycles} cycles)"
+        );
+    }
 }
 
 #[test]
