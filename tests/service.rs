@@ -19,7 +19,7 @@
 
 use felim::exec::THREADS_ENV;
 use felim::serve::{
-    generate_trace, BulkService, LogicalOp, Program, ServeError, ServiceConfig,
+    generate_trace, BulkService, LogicalOp, Program, ServeError, ServiceConfig, ServiceReport,
     ServiceTier, ShardHostChild, TenantId, TraceSpec,
 };
 use felim::arch::DriftSpec;
@@ -167,6 +167,119 @@ fn saturating_trace_sheds_with_typed_overloads_and_no_silent_drops() {
     );
     // The queue itself kept serving: the accepted prefix completed.
     assert!(stats.completed > 0);
+}
+
+/// Replays `trace` at `per_tick` arrivals per tick. The request mix
+/// comes from `trace.seed` alone, so levels of one ladder differ only in
+/// arrival density.
+fn load_level(config: ServiceConfig, trace: &TraceSpec, per_tick: u32) -> ServiceReport {
+    let mut spec = *trace;
+    spec.per_tick = per_tick;
+    let (vectors, events) = generate_trace(&spec);
+    let mut service = build(config);
+    for (name, rows) in &vectors {
+        service.create_vector(name, *rows).expect("vectors fit");
+    }
+    service.run_trace(&events);
+    service.report()
+}
+
+fn fully_accounted(report: &ServiceReport) -> bool {
+    let stats = &report.stats;
+    stats.completed
+        + stats.rejected_overloaded
+        + stats.rejected_quota
+        + stats.rejected_invalid
+        + stats.shed_deadline
+        + stats.failed
+        == stats.submitted
+}
+
+#[test]
+fn offered_load_ladder_accounts_every_submission() {
+    let trace = TraceSpec::small(3);
+    let levels: Vec<_> = [1, 2, 16]
+        .iter()
+        .map(|&per_tick| load_level(ServiceConfig::small(2), &trace, per_tick))
+        .collect();
+    for r in &levels {
+        assert!(fully_accounted(r), "unaccounted submissions: {:?}", r.stats);
+        assert!(r.stats.completed > 0);
+        assert!(r.sim_seconds > 0.0);
+    }
+    // Denser arrivals offer the same work: the ladder never changes
+    // what is submitted, only when.
+    assert!(levels
+        .iter()
+        .all(|r| r.stats.submitted == levels[0].stats.submitted));
+}
+
+#[test]
+fn offered_load_past_the_knee_sheds_while_latency_stays_bounded() {
+    // One shard serving one request per tick; the tenant quota is as
+    // deep as the shard queue, so the queue is what binds.
+    let config = |queue_depth| {
+        let mut c = ServiceConfig::small(1);
+        c.queue_depth = queue_depth;
+        c.batch_window = 1;
+        c.tenant_quota = Some(queue_depth);
+        c
+    };
+    let mut trace = TraceSpec::small(5);
+    trace.requests = 96;
+
+    // Below the knee everything completes, each request alone in its
+    // tick: the worst latency is the costliest op of the mix.
+    let calm = load_level(config(4), &trace, 1);
+    assert_eq!(
+        calm.stats.completed, calm.stats.submitted,
+        "{:?}",
+        calm.stats
+    );
+    let worst_op = calm.latency.max;
+    assert!(worst_op > 0);
+
+    // Past it the queue sheds with typed backpressure, and a completed
+    // request waited behind at most `queue_depth` others.
+    let mut admitted = Vec::new();
+    for queue_depth in [4, 16] {
+        let r = load_level(config(queue_depth), &trace, 32);
+        assert!(
+            fully_accounted(&r),
+            "unaccounted submissions: {:?}",
+            r.stats
+        );
+        assert!(
+            r.stats.rejected_overloaded > 0,
+            "depth {queue_depth} must shed: {:?}",
+            r.stats
+        );
+        assert!(r.stats.completed > 0);
+        let bound = (queue_depth as u64 + 1) * worst_op;
+        assert!(
+            r.latency.max <= bound,
+            "depth {queue_depth}: latency {} cycles past the {bound}-cycle queue bound",
+            r.latency.max
+        );
+        admitted.push(r.stats.completed);
+    }
+    assert!(
+        admitted[1] > admitted[0],
+        "a deeper queue admits more: {admitted:?}"
+    );
+}
+
+#[test]
+fn load_level_report_is_repeatable() {
+    let run = || {
+        serde_json::to_string(&load_level(
+            ServiceConfig::small(2),
+            &TraceSpec::small(11),
+            4,
+        ))
+        .expect("report serializes")
+    };
+    assert_eq!(run(), run());
 }
 
 #[test]
