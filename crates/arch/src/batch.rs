@@ -34,6 +34,7 @@
 
 use crate::geometry::RowId;
 use crate::{ArchError, BulkBackend};
+use felim_telemetry::CachedCounter;
 use serde::Serialize;
 
 /// One row-level operation inside a batch. Rows are backend-local
@@ -192,8 +193,10 @@ pub fn execute_batch(backend: &mut dyn BulkBackend, ops: &[RowOp]) -> BatchRepor
             RowOp::Read { row } => backend.read_row(*row).map(RowOpOutput::Data),
         })
         .collect();
-    felim_telemetry::counter("arch.batch.dispatches").inc();
-    felim_telemetry::counter("arch.batch.ops").add(ops.len() as u64);
+    static DISPATCHES: CachedCounter = CachedCounter::new("arch.batch.dispatches");
+    static OPS: CachedCounter = CachedCounter::new("arch.batch.ops");
+    DISPATCHES.inc();
+    OPS.add(ops.len() as u64);
     BatchReport {
         outputs,
         cycles: backend.stats().total_cycles() - cycles_before,

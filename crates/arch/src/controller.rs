@@ -57,6 +57,7 @@ use crate::geometry::{MemoryGeometry, RowId};
 use crate::scrub::{PatrolScrubber, ScrubConfig};
 use crate::stats::ExecStats;
 use crate::{ArchError, BulkBackend};
+use felim_telemetry::CachedCounter;
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -125,13 +126,15 @@ pub struct ControllerStats {
 
 impl ControllerStats {
     fn note_corrected(&mut self, bits: u64) {
+        static CORRECTED: CachedCounter = CachedCounter::new("arch.ecc.corrected");
         self.corrected_bits += bits;
-        felim_telemetry::counter("arch.ecc.corrected").add(bits);
+        CORRECTED.add(bits);
     }
 
     fn note_uncorrectable(&mut self, words: u64) {
+        static UNCORRECTABLE: CachedCounter = CachedCounter::new("arch.ecc.uncorrectable");
         self.uncorrectable_words += words;
-        felim_telemetry::counter("arch.ecc.uncorrectable").add(words);
+        UNCORRECTABLE.add(words);
     }
 
     /// Appends every counter to a state snapshot, in declaration order.
@@ -277,20 +280,16 @@ impl<B: BulkBackend> ReliabilityController<B> {
         if !self.config.ecc {
             return Ok(());
         }
-        match self.inner.peek_row(row)? {
-            Some(stored) => {
-                self.codes.insert(row.0, RowCode::encode(&stored));
-            }
-            None => {
-                // The backend either holds implicit zeros or exposes no
-                // raw storage; encode over zeros in the first case and
-                // drop protection in the second (`peek_row` cannot
-                // distinguish them — both decode every all-zero read as
-                // clean, so the conservative choice is identical).
-                let zeros = vec![0u64; self.inner.geometry().row_words()];
-                self.codes.insert(row.0, RowCode::encode(&zeros));
-            }
-        }
+        // The backend either holds implicit zeros or exposes no raw
+        // storage when `peek_row` is `None`; encode over zeros in the
+        // first case and drop protection in the second (`peek_row` cannot
+        // distinguish them — both decode every all-zero read as clean, so
+        // the conservative choice is identical).
+        let stored = self
+            .inner
+            .peek_row(row)?
+            .unwrap_or_else(|| vec![0u64; self.inner.geometry().row_words()]);
+        self.codes.entry(row.0).or_default().reencode(&stored);
         Ok(())
     }
 
@@ -328,9 +327,10 @@ impl<B: BulkBackend> ReliabilityController<B> {
     /// Uncorrectable rows found *by the patrol* do not error — they are
     /// counted and left for the owning read to escalate.
     pub fn tick(&mut self, dt_s: f64) -> Result<(), ArchError> {
+        static TICKS: CachedCounter = CachedCounter::new("arch.drift.ticks");
         self.drift.tick(dt_s);
         self.stats.drift_ticks += 1;
-        felim_telemetry::counter("arch.drift.ticks").inc();
+        TICKS.inc();
         let words = self.inner.geometry().row_words();
         for row in self.drift.tracked_rows() {
             let wear = self.inner.wear_fraction(row);

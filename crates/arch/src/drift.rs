@@ -31,6 +31,7 @@ use crate::geometry::RowId;
 use felim_cell::margin::MarginReport;
 use felim_ferro::imprint::ImprintModel;
 use felim_ferro::retention::RetentionModel;
+use felim_telemetry::CachedCounter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -298,6 +299,7 @@ impl DriftProcess {
         dt_s: f64,
         wear_fraction: f64,
     ) -> Option<Vec<u64>> {
+        static FLIPS: CachedCounter = CachedCounter::new("arch.drift.flips");
         let p = self.row_flip_probability(row, dt_s, wear_fraction);
         if let Some(state) = self.rows.get_mut(&row.0) {
             state.reads_charged = state.reads_since_write;
@@ -319,7 +321,7 @@ impl DriftProcess {
             return None;
         }
         self.flips_injected += flips;
-        felim_telemetry::counter("arch.drift.flips").add(flips);
+        FLIPS.add(flips);
         Some(mask)
     }
 

@@ -18,6 +18,13 @@
 //! as uncorrectable. This is exactly the decision table the
 //! [`decode_word`] doc-table spells out.
 //!
+//! No codeword is ever assembled at run time. Hamming check bit `i` is
+//! the parity of the data bits whose position has bit `i` set, so the
+//! encoder takes seven `popcount`s of the data word against parity masks
+//! precomputed from the position numbering above, and the decoder's
+//! syndrome is those seven bits XOR the stored ones. A data correction
+//! flips the data bit at the syndrome's position through a const table.
+//!
 //! The [`ReliabilityController`](crate::controller::ReliabilityController)
 //! stores one [`RowCode`] per protected row, re-encodes on every write,
 //! and checks on every read and patrol-scrub pass; double-bit detections
@@ -28,93 +35,82 @@ use serde::Serialize;
 /// Bits in the extended codeword: 64 data + 7 Hamming + 1 overall parity.
 const CODEWORD_BITS: u32 = 72;
 
-/// Codeword positions of the seven Hamming check bits.
-const CHECK_POSITIONS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
-
-/// Codeword positions (ascending) that carry data bits: everything in
-/// `1..72` that is not a power of two.
-fn data_positions() -> impl Iterator<Item = u32> {
-    (1..CODEWORD_BITS).filter(|p| !p.is_power_of_two())
-}
-
-/// Expands `(data, check)` into the 72-bit codeword (bit `p` of the
-/// return value = codeword position `p`). Check-byte layout: bit 0 is
-/// the overall parity (position 0), bits 1..=7 are the Hamming check
-/// bits at positions 1, 2, 4, 8, 16, 32, 64 respectively.
-fn assemble(data: u64, check: u8) -> u128 {
-    let mut word: u128 = 0;
-    if check & 1 != 0 {
-        word |= 1;
-    }
-    for (i, &p) in CHECK_POSITIONS.iter().enumerate() {
-        if check >> (i + 1) & 1 != 0 {
-            word |= 1u128 << p;
+/// Codeword position of each data bit: `DATA_POSITIONS[k]` is the `k`-th
+/// position in `1..72` that is not a power of two.
+const DATA_POSITIONS: [u8; 64] = {
+    let mut positions = [0u8; 64];
+    let (mut p, mut k) = (1u32, 0);
+    while p < CODEWORD_BITS {
+        if !p.is_power_of_two() {
+            positions[k] = p as u8;
+            k += 1;
         }
+        p += 1;
     }
-    for (bit, p) in data_positions().enumerate() {
-        if data >> bit & 1 != 0 {
-            word |= 1u128 << p;
-        }
-    }
-    word
-}
+    positions
+};
 
-/// Collapses a 72-bit codeword back into `(data, check)`.
-fn disassemble(word: u128) -> (u64, u8) {
-    let mut check = (word & 1) as u8;
-    for (i, &p) in CHECK_POSITIONS.iter().enumerate() {
-        if word >> p & 1 != 0 {
-            check |= 1 << (i + 1);
-        }
+/// Data bit carried at each codeword position; `u8::MAX` at position 0
+/// and at the seven check positions.
+const DATA_BIT_AT: [u8; CODEWORD_BITS as usize] = {
+    let mut bits = [u8::MAX; CODEWORD_BITS as usize];
+    let mut k = 0;
+    while k < 64 {
+        bits[DATA_POSITIONS[k] as usize] = k as u8;
+        k += 1;
     }
-    let mut data = 0u64;
-    for (bit, p) in data_positions().enumerate() {
-        if word >> p & 1 != 0 {
-            data |= 1 << bit;
-        }
-    }
-    (data, check)
-}
+    bits
+};
 
-/// Hamming syndrome of a codeword: XOR of the positions of all set bits.
-/// Zero for a valid codeword; equals the flipped position after any
-/// single-bit upset at position ≥ 1.
-fn syndrome(word: u128) -> u32 {
-    let mut s = 0u32;
-    let mut w = word;
-    while w != 0 {
-        let p = w.trailing_zeros();
-        s ^= p;
-        w &= w - 1;
+/// Parity masks of the seven Hamming check bits: data bit `k` is in
+/// `HAMMING_MASKS[i]` when its codeword position has bit `i` set, i.e.
+/// when the check bit at position `2^i` covers it.
+const HAMMING_MASKS: [u64; 7] = {
+    let mut masks = [0u64; 7];
+    let mut k = 0;
+    while k < 64 {
+        let mut i = 0;
+        while i < 7 {
+            if DATA_POSITIONS[k] >> i & 1 != 0 {
+                masks[i] |= 1 << k;
+            }
+            i += 1;
+        }
+        k += 1;
     }
-    s
+    masks
+};
+
+/// The seven Hamming check bits of `data` (bit `i` = the check bit at
+/// position `2^i`): the parity of each mask group. Equals the Hamming
+/// syndrome of the codeword holding `data` with all check bits zero.
+#[inline]
+fn hamming_bits(data: u64) -> u8 {
+    let mut bits = 0u8;
+    for (i, &mask) in HAMMING_MASKS.iter().enumerate() {
+        bits |= (((data & mask).count_ones() & 1) as u8) << i;
+    }
+    bits
 }
 
 /// Encodes the 8-bit SECDED check byte for one 64-bit data word.
+///
+/// Check-byte layout: bit 0 is the overall parity (position 0), bits
+/// 1..=7 are the Hamming check bits at positions 1, 2, 4, 8, 16, 32, 64
+/// respectively.
 ///
 /// ```
 /// use felim_arch::ecc::{decode_word, encode_word, WordDecode};
 /// let check = encode_word(0xDEAD_BEEF);
 /// assert_eq!(decode_word(0xDEAD_BEEF, check), WordDecode::Clean);
 /// ```
+#[inline]
 pub fn encode_word(data: u64) -> u8 {
-    // Choose check bits so that every Hamming parity group XORs to zero
-    // (syndrome zero), then the overall bit so total parity is even.
-    let data_word = assemble(data, 0);
-    let s = syndrome(data_word);
-    let mut check = 0u8;
-    for (i, &p) in CHECK_POSITIONS.iter().enumerate() {
-        // Check bit at position p covers syndrome bit log2(p) = its index
-        // in the position numbering; setting it toggles that syndrome bit.
-        if s & p != 0 {
-            check |= 1 << (i + 1);
-        }
-    }
-    let with_checks = assemble(data, check);
-    if with_checks.count_ones() % 2 == 1 {
-        check |= 1; // overall parity bit at position 0
-    }
-    check
+    // Check bits zero every Hamming parity group; the overall bit then
+    // makes the parity of all 72 bits even.
+    let hamming = hamming_bits(data);
+    let overall = (data.count_ones() + hamming.count_ones()) & 1;
+    (hamming << 1) | overall as u8
 }
 
 /// Outcome of decoding one `(data, check)` pair.
@@ -146,20 +142,19 @@ pub enum WordDecode {
 /// | ≥ 72    | odd  | impossible for 1 flip → ≥3 flips, detected    |
 /// | nonzero | even | double flip → detected, uncorrectable         |
 pub fn decode_word(data: u64, check: u8) -> WordDecode {
-    let word = assemble(data, check);
-    let s = syndrome(word);
-    let parity_odd = word.count_ones() % 2 == 1;
+    // The check bits sit at positions 2^i, so their share of the
+    // syndrome is the seven Hamming bits of the check byte themselves.
+    let s = u32::from(hamming_bits(data) ^ (check >> 1));
+    let parity_odd = (data.count_ones() + check.count_ones()) % 2 == 1;
     match (s, parity_odd) {
         (0, false) => WordDecode::Clean,
         (0, true) => WordDecode::CorrectedCheck,
         (s, true) if s < CODEWORD_BITS => {
-            if s.is_power_of_two() || s == 0 {
+            if s.is_power_of_two() {
                 // The flipped bit is a check bit — data is intact.
                 WordDecode::CorrectedCheck
             } else {
-                let fixed = word ^ (1u128 << s);
-                let (repaired, _) = disassemble(fixed);
-                WordDecode::CorrectedData(repaired)
+                WordDecode::CorrectedData(data ^ (1 << DATA_BIT_AT[s as usize]))
             }
         }
         // s >= 72 with odd parity: at least a triple error. s != 0 with
@@ -169,7 +164,7 @@ pub fn decode_word(data: u64, check: u8) -> WordDecode {
 }
 
 /// The SECDED side-band for one full row: one check byte per data word.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct RowCode {
     checks: Vec<u8>,
 }
@@ -180,6 +175,14 @@ impl RowCode {
         Self {
             checks: data.iter().map(|&w| encode_word(w)).collect(),
         }
+    }
+
+    /// Re-encodes this side-band for a row that now holds `data`, reusing
+    /// its buffer: the same bytes as [`RowCode::encode`], no allocation
+    /// once the buffer has grown to the row length.
+    pub fn reencode(&mut self, data: &[u64]) {
+        self.checks.clear();
+        self.checks.extend(data.iter().map(|&w| encode_word(w)));
     }
 
     /// Number of protected words.
@@ -212,12 +215,9 @@ impl RowCode {
     /// untouched and listed in [`RowCheck::uncorrectable_words`].
     pub fn check_row(&self, data: &mut [u64]) -> RowCheck {
         let mut outcome = RowCheck::default();
-        for (i, word) in data.iter_mut().enumerate() {
-            let check = self.checks.get(i).copied().unwrap_or_else(|| {
-                // Length mismatch means the row was resized under us —
-                // treat the tail as unprotected (clean by definition).
-                encode_word(*word)
-            });
+        // A length mismatch means the row was resized under us: `zip`
+        // skips the tail, which is unprotected (clean by definition).
+        for (i, (word, &check)) in data.iter_mut().zip(&self.checks).enumerate() {
             match decode_word(*word, check) {
                 WordDecode::Clean => {}
                 WordDecode::CorrectedData(fixed) => {
@@ -259,6 +259,106 @@ impl RowCheck {
 mod tests {
     use super::*;
 
+    // Reference oracle: the bitwise construction the parity masks
+    // replace. It builds the 72-bit codeword explicitly (bit `p` of a
+    // `u128` = codeword position `p`) and XORs set-bit positions into the
+    // syndrome.
+
+    /// Codeword positions of the seven Hamming check bits.
+    const CHECK_POSITIONS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
+
+    /// Codeword positions (ascending) that carry data bits: everything in
+    /// `1..72` that is not a power of two.
+    fn data_positions() -> impl Iterator<Item = u32> {
+        (1..CODEWORD_BITS).filter(|p| !p.is_power_of_two())
+    }
+
+    /// Expands `(data, check)` into the 72-bit codeword.
+    fn assemble(data: u64, check: u8) -> u128 {
+        let mut word = u128::from(check & 1);
+        for (i, &p) in CHECK_POSITIONS.iter().enumerate() {
+            if check >> (i + 1) & 1 != 0 {
+                word |= 1u128 << p;
+            }
+        }
+        for (bit, p) in data_positions().enumerate() {
+            if data >> bit & 1 != 0 {
+                word |= 1u128 << p;
+            }
+        }
+        word
+    }
+
+    /// Collapses a 72-bit codeword back into `(data, check)`.
+    fn disassemble(word: u128) -> (u64, u8) {
+        let mut check = (word & 1) as u8;
+        for (i, &p) in CHECK_POSITIONS.iter().enumerate() {
+            if word >> p & 1 != 0 {
+                check |= 1 << (i + 1);
+            }
+        }
+        let mut data = 0u64;
+        for (bit, p) in data_positions().enumerate() {
+            if word >> p & 1 != 0 {
+                data |= 1 << bit;
+            }
+        }
+        (data, check)
+    }
+
+    /// Hamming syndrome of a codeword: XOR of the positions of all set
+    /// bits.
+    fn syndrome(word: u128) -> u32 {
+        let mut s = 0u32;
+        let mut w = word;
+        while w != 0 {
+            s ^= w.trailing_zeros();
+            w &= w - 1;
+        }
+        s
+    }
+
+    fn reference_encode(data: u64) -> u8 {
+        let s = syndrome(assemble(data, 0));
+        let mut check = 0u8;
+        for (i, &p) in CHECK_POSITIONS.iter().enumerate() {
+            if s & p != 0 {
+                check |= 1 << (i + 1);
+            }
+        }
+        if assemble(data, check).count_ones() % 2 == 1 {
+            check |= 1;
+        }
+        check
+    }
+
+    fn reference_decode(data: u64, check: u8) -> WordDecode {
+        let word = assemble(data, check);
+        let s = syndrome(word);
+        match (s, word.count_ones() % 2 == 1) {
+            (0, false) => WordDecode::Clean,
+            (0, true) => WordDecode::CorrectedCheck,
+            (s, true) if s < CODEWORD_BITS => {
+                if s.is_power_of_two() {
+                    WordDecode::CorrectedCheck
+                } else {
+                    WordDecode::CorrectedData(disassemble(word ^ (1u128 << s)).0)
+                }
+            }
+            _ => WordDecode::Uncorrectable,
+        }
+    }
+
+    /// Deterministic xorshift64 word stream.
+    fn xorshift_words(mut state: u64, n: usize) -> impl Iterator<Item = u64> {
+        (0..n).map(move |_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        })
+    }
+
     #[test]
     fn positions_partition_the_codeword() {
         let data: Vec<u32> = data_positions().collect();
@@ -267,6 +367,72 @@ mod tests {
             assert!(!data.contains(p));
         }
         assert!(!data.contains(&0));
+        let table: Vec<u32> = DATA_POSITIONS.iter().map(|&p| u32::from(p)).collect();
+        assert_eq!(table, data);
+        for (p, &bit) in DATA_BIT_AT.iter().enumerate() {
+            if p == 0 || p.is_power_of_two() {
+                assert_eq!(bit, u8::MAX, "position {p} carries no data");
+            } else {
+                assert_eq!(u32::from(DATA_POSITIONS[bit as usize]), p as u32);
+            }
+        }
+    }
+
+    /// Pins the check-byte layout that controller snapshots and wire
+    /// snapshot chunks carry: these bytes come from the bitwise encoder.
+    #[test]
+    fn golden_check_bytes() {
+        for &(data, check) in &[
+            (0u64, 0x00u8),
+            (!0, 0xff),
+            (0xDEAD_BEEF, 0x47),
+            (0x0123_4567_89AB_CDEF, 0x39),
+            (0x5555_0000_FFFF_AAAA, 0xd8),
+            (1 << 63, 0x8f),
+        ] {
+            assert_eq!(encode_word(data), check, "encode_word({data:#x})");
+            assert_eq!(reference_encode(data), check, "reference_encode({data:#x})");
+        }
+    }
+
+    #[test]
+    fn encode_matches_the_bitwise_reference() {
+        for data in xorshift_words(0x9E37_79B9_7F4A_7C15, 100_000) {
+            assert_eq!(encode_word(data), reference_encode(data), "data {data:#x}");
+        }
+    }
+
+    #[test]
+    fn decode_matches_the_bitwise_reference() {
+        let words = [0u64, !0, 0xDEAD_BEEF, 0x5555_0000_FFFF_AAAA]
+            .into_iter()
+            .chain(xorshift_words(42, 4));
+        for data in words {
+            // Every check byte, consistent or not.
+            for check in 0..=u8::MAX {
+                assert_eq!(
+                    decode_word(data, check),
+                    reference_decode(data, check),
+                    "data {data:#x}, check {check:#04x}"
+                );
+            }
+            // Every single and double flip of the valid codeword.
+            let clean = assemble(data, encode_word(data));
+            for i in 0..CODEWORD_BITS {
+                for j in i..CODEWORD_BITS {
+                    let mut corrupted = clean ^ (1u128 << i);
+                    if j != i {
+                        corrupted ^= 1u128 << j;
+                    }
+                    let (d, c) = disassemble(corrupted);
+                    assert_eq!(
+                        decode_word(d, c),
+                        reference_decode(d, c),
+                        "data {data:#x}, flips at {i},{j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -350,5 +516,16 @@ mod tests {
         // A clean row decodes clean.
         let mut clean = data.clone();
         assert!(code.check_row(&mut clean).is_clean());
+
+        // Re-encoding in place yields the same side-band as a fresh
+        // encode, whatever the buffer held before.
+        let mut reused = RowCode::encode(&[!0; 7]);
+        reused.reencode(&data);
+        assert_eq!(reused, code);
+
+        // Words past the side-band's length are unprotected: skipped.
+        let mut longer = data.clone();
+        longer.push(0xBAD);
+        assert!(code.check_row(&mut longer).is_clean());
     }
 }

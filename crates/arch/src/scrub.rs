@@ -14,6 +14,7 @@
 //! clean, which routes them through the backend's scratch-rotation /
 //! spare-pool machinery *before* they die and need retirement.
 
+use felim_telemetry::CachedCounter;
 use serde::Serialize;
 
 /// Patrol-scrub configuration.
@@ -112,12 +113,13 @@ impl PatrolScrubber {
     /// list of length `tracked`; `count == tracked` for full passes.
     /// Returns `None` when no pass is due or there is nothing to walk.
     pub fn begin_pass(&mut self, tracked: usize) -> Option<(usize, usize)> {
+        static PASSES: CachedCounter = CachedCounter::new("arch.scrub.passes");
         if !self.due() {
             return None;
         }
         self.since_pass_s -= self.config.period_s;
         self.passes += 1;
-        felim_telemetry::counter("arch.scrub.passes").inc();
+        PASSES.inc();
         if tracked == 0 {
             return None;
         }
@@ -131,8 +133,9 @@ impl PatrolScrubber {
 
     /// Records one row rewrite performed by the executing controller.
     pub fn note_rewrite(&mut self) {
+        static REWRITES: CachedCounter = CachedCounter::new("arch.scrub.rewrites");
         self.rewrites += 1;
-        felim_telemetry::counter("arch.scrub.rewrites").inc();
+        REWRITES.inc();
     }
 
     /// Appends the schedule state (clock, counters, cursor) to a state
