@@ -257,22 +257,6 @@ impl<B: BulkBackend> ReliabilityController<B> {
         self.scrubber.as_ref()
     }
 
-    /// Current health signals, for replica managers deciding whether
-    /// this memory should keep serving as a primary.
-    pub fn health(&self) -> ControllerHealth {
-        let mut max_wear_fraction: f64 = 0.0;
-        for row in self.drift.tracked_rows() {
-            max_wear_fraction = max_wear_fraction.max(self.inner.wear_fraction(row));
-        }
-        ControllerHealth {
-            uncorrectable_words: self.stats.uncorrectable_words,
-            corrected_bits: self.stats.corrected_bits,
-            scrub_rewrites: self.stats.scrub_rewrites,
-            drift_flips: self.stats.drift_flips,
-            max_wear_fraction,
-        }
-    }
-
     /// Re-encodes the side-band for a row that now holds fresh data and
     /// restarts its drift clocks.
     fn protect(&mut self, row: RowId) -> Result<(), ArchError> {
@@ -314,34 +298,6 @@ impl<B: BulkBackend> ReliabilityController<B> {
                 row: row.0,
                 words: outcome.uncorrectable_words,
             });
-        }
-        Ok(())
-    }
-
-    /// Advances process time by `dt_s`: drift upsets land in storage,
-    /// then any due patrol passes run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend errors from the decay/scrub row traffic.
-    /// Uncorrectable rows found *by the patrol* do not error — they are
-    /// counted and left for the owning read to escalate.
-    pub fn tick(&mut self, dt_s: f64) -> Result<(), ArchError> {
-        static TICKS: CachedCounter = CachedCounter::new("arch.drift.ticks");
-        self.drift.tick(dt_s);
-        self.stats.drift_ticks += 1;
-        TICKS.inc();
-        let words = self.inner.geometry().row_words();
-        for row in self.drift.tracked_rows() {
-            let wear = self.inner.wear_fraction(row);
-            if let Some(mask) = self.drift.sample_row(row, words, dt_s, wear) {
-                self.inner.decay_row(row, &mask)?;
-            }
-        }
-        self.stats.drift_flips = self.drift.flips_injected();
-        if let Some(scrubber) = self.scrubber.as_mut() {
-            scrubber.advance(dt_s);
-            self.run_due_scrub_passes()?;
         }
         Ok(())
     }
@@ -622,6 +578,47 @@ impl<B: BulkBackend> BulkBackend for ReliabilityController<B> {
         self.codes = codes;
         self.stats = stats;
         true
+    }
+
+    fn take_batch_cycles(&mut self) -> (u64, u64) {
+        self.inner.take_batch_cycles()
+    }
+
+    /// Drift upsets land in storage, then any due patrol passes run.
+    /// Uncorrectable rows found *by the patrol* do not error — they are
+    /// counted and left for the owning read to escalate.
+    fn tick(&mut self, dt_s: f64) -> Result<(), ArchError> {
+        static TICKS: CachedCounter = CachedCounter::new("arch.drift.ticks");
+        self.drift.tick(dt_s);
+        self.stats.drift_ticks += 1;
+        TICKS.inc();
+        let words = self.inner.geometry().row_words();
+        for row in self.drift.tracked_rows() {
+            let wear = self.inner.wear_fraction(row);
+            if let Some(mask) = self.drift.sample_row(row, words, dt_s, wear) {
+                self.inner.decay_row(row, &mask)?;
+            }
+        }
+        self.stats.drift_flips = self.drift.flips_injected();
+        if let Some(scrubber) = self.scrubber.as_mut() {
+            scrubber.advance(dt_s);
+            self.run_due_scrub_passes()?;
+        }
+        Ok(())
+    }
+
+    fn health(&self) -> ControllerHealth {
+        let mut max_wear_fraction: f64 = 0.0;
+        for row in self.drift.tracked_rows() {
+            max_wear_fraction = max_wear_fraction.max(self.inner.wear_fraction(row));
+        }
+        ControllerHealth {
+            uncorrectable_words: self.stats.uncorrectable_words,
+            corrected_bits: self.stats.corrected_bits,
+            scrub_rewrites: self.stats.scrub_rewrites,
+            drift_flips: self.stats.drift_flips,
+            max_wear_fraction,
+        }
     }
 }
 

@@ -14,6 +14,7 @@ use crate::command::Command;
 use crate::energy::{EnergyModel, LatencyModel};
 use crate::engine::{majority_words, RowStore};
 use crate::geometry::{MemoryGeometry, RowId};
+use crate::schedule::MakespanClock;
 use crate::stats::ExecStats;
 use crate::{ArchError, BulkBackend};
 
@@ -31,6 +32,9 @@ pub struct DramBackend {
     stats: ExecStats,
     refreshed: bool,
     command_log: Option<Vec<Command>>,
+    /// Serial and subarray-parallel cycles since the last
+    /// [`take_batch_cycles`](BulkBackend::take_batch_cycles).
+    clock: MakespanClock,
 }
 
 impl DramBackend {
@@ -46,6 +50,7 @@ impl DramBackend {
             refreshed: false,
             store: RowStore::new(geometry),
             command_log: None,
+            clock: MakespanClock::per_subarray(&geometry),
         };
         // Control rows hold their constants from initialisation on.
         store
@@ -94,11 +99,10 @@ impl DramBackend {
     }
 
     fn issue(&mut self, cmd: Command) {
-        self.stats.record(
-            cmd.class(),
-            self.latency.cycles(&cmd),
-            self.energy.energy_nj(&cmd),
-        );
+        let cycles = self.latency.cycles(&cmd);
+        self.stats
+            .record(cmd.class(), cycles, self.energy.energy_nj(&cmd));
+        self.clock.charge(&cmd, cycles, &self.geometry);
         if let Some(log) = &mut self.command_log {
             log.push(cmd);
         }
@@ -115,9 +119,8 @@ impl DramBackend {
         self.command_log.as_deref().unwrap_or(&[])
     }
 
-    /// Empties the command log (no-op when logging is off). Batch
-    /// dispatchers call this between batches so each batch's log — and
-    /// therefore its makespan replay — stands alone.
+    /// Empties the command log (no-op when logging is off), so a caller
+    /// replaying one batch's log at a time sees each batch alone.
     pub fn clear_command_log(&mut self) {
         if let Some(log) = &mut self.command_log {
             log.clear();
@@ -353,7 +356,12 @@ impl BulkBackend for DramBackend {
         if let Some(log) = self.command_log.as_mut() {
             log.clear();
         }
+        self.clock.reset();
         true
+    }
+
+    fn take_batch_cycles(&mut self) -> (u64, u64) {
+        self.clock.take()
     }
 }
 

@@ -40,6 +40,7 @@ use crate::energy::{EnergyModel, LatencyModel};
 use crate::engine::{minority_words, RowStore};
 use crate::fault::{DegradationPolicy, FaultInjector, FaultSpec, ReliabilityStats};
 use crate::geometry::{MemoryGeometry, RowId};
+use crate::schedule::MakespanClock;
 use crate::stats::ExecStats;
 use crate::wear::WearTracker;
 use crate::{ArchError, BulkBackend};
@@ -85,6 +86,9 @@ pub struct FeramBackend {
     /// Free physical spare rows (popped from the back).
     spares: Vec<u64>,
     command_log: Option<Vec<Command>>,
+    /// Serial and subarray-parallel cycles since the last
+    /// [`take_batch_cycles`](BulkBackend::take_batch_cycles).
+    clock: MakespanClock,
     /// Reusable row buffer for op results, so the fault-free op path
     /// performs no per-op heap allocation in steady state.
     row_buf: Vec<u64>,
@@ -119,6 +123,7 @@ impl FeramBackend {
             remap: HashMap::new(),
             spares,
             command_log: None,
+            clock: MakespanClock::per_subarray(&geometry),
             row_buf: Vec::new(),
         }
     }
@@ -259,11 +264,10 @@ impl FeramBackend {
     }
 
     fn issue(&mut self, cmd: Command) {
-        self.stats.record(
-            cmd.class(),
-            self.latency.cycles(&cmd),
-            self.energy.energy_nj(&cmd),
-        );
+        let cycles = self.latency.cycles(&cmd);
+        self.stats
+            .record(cmd.class(), cycles, self.energy.energy_nj(&cmd));
+        self.clock.charge(&cmd, cycles, &self.geometry);
         if let Some(log) = &mut self.command_log {
             log.push(cmd);
         }
@@ -280,9 +284,8 @@ impl FeramBackend {
         self.command_log.as_deref().unwrap_or(&[])
     }
 
-    /// Empties the command log (no-op when logging is off). Batch
-    /// dispatchers call this between batches so each batch's log — and
-    /// therefore its makespan replay — stands alone.
+    /// Empties the command log (no-op when logging is off), so a caller
+    /// replaying one batch's log at a time sees each batch alone.
     pub fn clear_command_log(&mut self) {
         if let Some(log) = &mut self.command_log {
             log.clear();
@@ -850,7 +853,12 @@ impl BulkBackend for FeramBackend {
         if let Some(log) = self.command_log.as_mut() {
             log.clear();
         }
+        self.clock.reset();
         true
+    }
+
+    fn take_batch_cycles(&mut self) -> (u64, u64) {
+        self.clock.take()
     }
 }
 

@@ -273,6 +273,34 @@ pub trait BulkBackend {
     fn restore_state(&mut self, _snapshot: &[u8]) -> bool {
         false
     }
+
+    /// `(serial, makespan)` cycles of the commands issued since the last
+    /// call, then restarts the count. The makespan prices those commands
+    /// with one execution slot per subarray, exactly as
+    /// [`schedule()`] would price their command log. `(0, 0)` for
+    /// backends that keep no clock (the default).
+    fn take_batch_cycles(&mut self) -> (u64, u64) {
+        (0, 0)
+    }
+
+    /// Advances process time by `dt_s` seconds: storage drift and due
+    /// maintenance for backends that model them, nothing otherwise (the
+    /// default).
+    ///
+    /// # Errors
+    ///
+    /// Propagates backend errors from the maintenance row traffic.
+    fn tick(&mut self, _dt_s: f64) -> Result<(), ArchError> {
+        Ok(())
+    }
+
+    /// Reliability-health counters, for replica managers deciding
+    /// whether this memory should keep serving as a primary. All zero
+    /// for backends that track nothing (the default): nothing is
+    /// tracked, so nothing can degrade.
+    fn health(&self) -> ControllerHealth {
+        ControllerHealth::default()
+    }
 }
 
 /// Error type for architecture-level failures.

@@ -1,13 +1,20 @@
-//! Subarray-parallel scheduling: turning a serial command log into a
+//! Subarray-parallel scheduling: turning a serial command stream into a
 //! makespan under concurrent subarray execution.
 //!
 //! The backends account cycles serially (every primitive takes its slot),
 //! which is the paper's single-stream model. Real arrays overlap
-//! operations on independent subarrays; this module replays a command log
-//! onto `k` concurrent execution slots (subarrays statically striped
-//! across slots, commands of one subarray serialised, refresh a global
-//! barrier) and reports the resulting makespan — the quantitative form of
-//! Section V's "increasing the computational bandwidth" argument.
+//! operations on independent subarrays; this module maps a command
+//! stream onto `k` concurrent execution slots (subarrays statically
+//! striped across slots, commands of one subarray serialised, refresh a
+//! global barrier) and reports the resulting makespan — the quantitative
+//! form of Section V's "increasing the computational bandwidth" argument.
+//!
+//! [`MakespanClock`] is the online form: the backends charge it from
+//! `issue()` as they go, one slot per subarray, and a batch dispatcher
+//! reads and resets it through
+//! [`BulkBackend::take_batch_cycles`](crate::BulkBackend::take_batch_cycles).
+//! [`schedule`] is the offline form, a fold of the same clock over a
+//! recorded command log.
 
 use crate::command::Command;
 use crate::energy::LatencyModel;
@@ -27,6 +34,80 @@ pub struct ScheduleReport {
     pub slots: usize,
 }
 
+/// Serial and makespan cycles of a command stream, charged one command
+/// at a time onto a fixed set of execution slots.
+#[derive(Debug, Clone)]
+pub struct MakespanClock {
+    /// Time each slot is busy until. A slot below `floor` is idle at the
+    /// floor.
+    slot_time: Vec<u64>,
+    /// The last refresh barrier: no slot starts work before it.
+    floor: u64,
+    /// Latest finish time over all slots (and the floor).
+    makespan: u64,
+    /// Sum of every charged command's cycles.
+    serial: u64,
+    /// Slot of the last command with a row, which a row-less command
+    /// (PRECHARGE) continues.
+    last_slot: usize,
+}
+
+impl MakespanClock {
+    /// A clock over `slots` concurrent execution slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is zero.
+    pub fn new(slots: usize) -> Self {
+        assert!(slots > 0, "need at least one execution slot");
+        Self {
+            slot_time: vec![0; slots],
+            floor: 0,
+            makespan: 0,
+            serial: 0,
+            last_slot: 0,
+        }
+    }
+
+    /// A clock with one slot per subarray of `geometry`.
+    pub fn per_subarray(geometry: &MemoryGeometry) -> Self {
+        Self::new(geometry.subarrays().max(1) as usize)
+    }
+
+    /// Charges `cmd`, which takes `cycles`, to its subarray's slot.
+    pub fn charge(&mut self, cmd: &Command, cycles: u64, geometry: &MemoryGeometry) {
+        self.serial += cycles;
+        let slot = match (command_row(cmd), cmd) {
+            (Some(row), _) => (geometry.subarray_of(row) as usize) % self.slot_time.len(),
+            // Global barrier: every slot waits, then pays.
+            (None, Command::Refresh { .. }) => {
+                self.makespan += cycles;
+                self.floor = self.makespan;
+                return;
+            }
+            (None, _) => self.last_slot,
+        };
+        let t = self.slot_time[slot].max(self.floor) + cycles;
+        self.slot_time[slot] = t;
+        self.makespan = self.makespan.max(t);
+        self.last_slot = slot;
+    }
+
+    /// `(serial, makespan)` cycles charged since the last reset, then
+    /// resets.
+    pub fn take(&mut self) -> (u64, u64) {
+        let cycles = (self.serial, self.makespan);
+        self.reset();
+        cycles
+    }
+
+    /// Forgets every charge.
+    pub fn reset(&mut self) {
+        self.slot_time.fill(0);
+        (self.floor, self.makespan, self.serial, self.last_slot) = (0, 0, 0, 0);
+    }
+}
+
 /// Replays `log` with `slots` concurrent subarray-groups.
 ///
 /// # Panics
@@ -38,33 +119,11 @@ pub fn schedule(
     latency: &LatencyModel,
     slots: usize,
 ) -> ScheduleReport {
-    assert!(slots > 0, "need at least one execution slot");
-    let mut slot_time = vec![0u64; slots];
-    let mut serial = 0u64;
-    // Commands with no row operand (PRECHARGE) belong to the chain of the
-    // previous command — track the last-used slot.
-    let mut last_slot = 0usize;
-
+    let mut clock = MakespanClock::new(slots);
     for cmd in log {
-        let cycles = latency.cycles(cmd);
-        serial += cycles;
-        let slot = match command_row(cmd) {
-            Some(row) => (geometry.subarray_of(row) as usize) % slots,
-            None => match cmd {
-                Command::Refresh { .. } => {
-                    // Global barrier: every slot waits, then pays.
-                    let t = *slot_time.iter().max().unwrap() + cycles;
-                    slot_time.iter_mut().for_each(|s| *s = t);
-                    continue;
-                }
-                _ => last_slot,
-            },
-        };
-        slot_time[slot] += cycles;
-        last_slot = slot;
+        clock.charge(cmd, latency.cycles(cmd), geometry);
     }
-
-    let makespan = slot_time.into_iter().max().unwrap_or(0);
+    let (serial, makespan) = clock.take();
     ScheduleReport {
         serial_cycles: serial,
         makespan_cycles: makespan,
@@ -95,9 +154,97 @@ mod tests {
     use super::*;
     use crate::feram_backend::FeramBackend;
     use crate::BulkBackend;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (MemoryGeometry, LatencyModel) {
         (MemoryGeometry::tiny(), LatencyModel::paper_default())
+    }
+
+    /// Reference oracle: the direct per-slot loop, with the refresh
+    /// barrier rewriting every slot. Returns `(serial, makespan)`.
+    fn schedule_reference(
+        log: &[Command],
+        geometry: &MemoryGeometry,
+        latency: &LatencyModel,
+        slots: usize,
+    ) -> (u64, u64) {
+        let mut slot_time = vec![0u64; slots];
+        let mut serial = 0u64;
+        let mut last_slot = 0usize;
+        for cmd in log {
+            let cycles = latency.cycles(cmd);
+            serial += cycles;
+            let slot = match command_row(cmd) {
+                Some(row) => (geometry.subarray_of(row) as usize) % slots,
+                None => match cmd {
+                    Command::Refresh { .. } => {
+                        let t = *slot_time.iter().max().unwrap() + cycles;
+                        slot_time.iter_mut().for_each(|s| *s = t);
+                        continue;
+                    }
+                    _ => last_slot,
+                },
+            };
+            slot_time[slot] += cycles;
+            last_slot = slot;
+        }
+        (serial, slot_time.into_iter().max().unwrap_or(0))
+    }
+
+    fn random_log(rng: &mut StdRng, geometry: &MemoryGeometry, len: usize) -> Vec<Command> {
+        let rows = geometry.total_rows();
+        (0..len)
+            .map(|_| {
+                let row = RowId(rng.gen_range(0..rows));
+                match rng.gen_range(0..5) {
+                    0 => Command::Activate(row),
+                    1 => Command::WriteRow(row),
+                    2 => Command::RowClone { dst: row },
+                    3 => Command::Precharge,
+                    _ => Command::Refresh {
+                        rows: rng.gen_range(1..64u64),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clock_fold_matches_the_reference_loop_on_random_logs() {
+        let (g, l) = setup();
+        let mut rng = StdRng::seed_from_u64(0x5CED);
+        for trial in 0..200 {
+            let log = random_log(&mut rng, &g, trial % 97);
+            for slots in [1, 3, 8, 16] {
+                let r = schedule(&log, &g, &l, slots);
+                assert_eq!(
+                    (r.serial_cycles, r.makespan_cycles),
+                    schedule_reference(&log, &g, &l, slots),
+                    "trial {trial}, {slots} slots"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clock_restarts_cleanly_after_take() {
+        let (g, l) = setup();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut clock = MakespanClock::per_subarray(&g);
+        let slots = g.subarrays() as usize;
+        for trial in 0..50 {
+            let log = random_log(&mut rng, &g, 1 + trial % 31);
+            for cmd in &log {
+                clock.charge(cmd, l.cycles(cmd), &g);
+            }
+            assert_eq!(
+                clock.take(),
+                schedule_reference(&log, &g, &l, slots),
+                "batch {trial} must not see the previous batch"
+            );
+        }
+        assert_eq!(clock.take(), (0, 0));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! * **Batching** ([`shard`]) — same-shard commands coalesce into
 //!   [`RowOp`](felim_arch::batch::RowOp) batches dispatched through
 //!   [`execute_batch`](felim_arch::batch::execute_batch), amortising
-//!   per-op dispatch and letting the subarray-parallel
-//!   [`schedule`](felim_arch::schedule::schedule) replay price each
-//!   batch as a makespan rather than a serial sum.
+//!   per-op dispatch and letting the backends' subarray-parallel
+//!   makespan clock price each batch as a makespan rather than a
+//!   serial sum.
 //! * **Kernel fusion** ([`dsl`], [`plan`]) — a [`LogicalOp::Kernel`]
 //!   request carries a multi-statement expression program
 //!   (`d = (a & b) ^ ~c`) compiled server-side into one fused per-shard

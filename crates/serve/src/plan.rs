@@ -34,9 +34,7 @@
 //!   old value, eliminating the end-of-kernel copy.
 //! * **Level interleaving** — ops are ordered by DAG level, so
 //!   independent subexpressions sit adjacent in the batch and spread
-//!   across subarrays under the
-//!   [`schedule`](felim_arch::schedule::schedule) replay that prices
-//!   each tick.
+//!   across subarrays under the makespan that prices each tick.
 //!
 //! Dead statements (temporaries never reaching a bound output) are
 //! dropped entirely. The plan is shape-agnostic: row counts bind at

@@ -148,11 +148,6 @@ pub struct ServiceConfig {
     /// byte-identical to replication being on — standbys are exact
     /// copies and never influence settled responses.
     pub replication: Option<ReplicationConfig>,
-    /// Adapt the batching window at runtime: widen it under sustained
-    /// queue pressure (throughput mode), narrow it when deadlines
-    /// tighten (latency mode). Off by default; when off,
-    /// [`batch_window`](Self::batch_window) is used verbatim.
-    pub adaptive_batch_window: bool,
 }
 
 impl ServiceConfig {
@@ -179,7 +174,6 @@ impl ServiceConfig {
             remote_connect_attempts: 5,
             remote_connect_backoff_ms: 20,
             replication: None,
-            adaptive_batch_window: false,
         }
     }
 
@@ -380,12 +374,6 @@ pub struct BulkService {
     /// `replica · shards + stripe`), so member indices 0..shards are
     /// the primaries and all stripe-indexed bookkeeping is unchanged.
     replicas: Option<ReplicaManager>,
-    /// Current adaptive batch window (tracks `config.batch_window`
-    /// when the auto-tuner is off).
-    tuned_window: usize,
-    /// Consecutive ticks of sustained queue pressure (auto-tuner
-    /// hysteresis).
-    pressure_ticks: u32,
 }
 
 /// Plan-cache key: the kernel program's content digest plus the exact
@@ -592,7 +580,6 @@ impl BulkService {
             .replication
             .clone()
             .map(|repl| ReplicaManager::new(repl, config.shards as usize));
-        let tuned_window = config.batch_window;
         Ok(Self {
             catalog,
             map,
@@ -614,8 +601,6 @@ impl BulkService {
             read_cache: HashMap::new(),
             plan_cache: HashMap::new(),
             replicas,
-            tuned_window,
-            pressure_ticks: 0,
             config,
         })
     }
@@ -846,9 +831,6 @@ impl BulkService {
     /// Returns the number of requests dispatched this tick.
     pub fn step(&mut self) -> usize {
         self.promote_due_retries();
-        if self.config.adaptive_batch_window {
-            self.tune_window();
-        }
         let mut batch = self.collect_batch();
         if batch.is_empty() {
             // Idle ticks still pump replication upkeep: a background
@@ -1144,38 +1126,6 @@ impl BulkService {
         }
     }
 
-    /// Adapts the batching window one notch per tick: halve it when a
-    /// deadline near the queue head is about to expire (latency mode),
-    /// double it after sustained queue pressure (throughput mode), and
-    /// drift back toward the configured window when neither holds. The
-    /// window stays within `[1, max(queue_depth, batch_window)]`.
-    fn tune_window(&mut self) {
-        let deadline_tight = self
-            .pending
-            .iter()
-            .take(16)
-            .any(|r| r.deadline.is_some_and(|d| d <= self.now + 2));
-        if deadline_tight {
-            self.tuned_window = (self.tuned_window / 2).max(1);
-            self.pressure_ticks = 0;
-        } else if self.pending.len() > 2 * self.tuned_window {
-            self.pressure_ticks += 1;
-            if self.pressure_ticks >= 2 {
-                let cap = self.config.queue_depth.max(self.config.batch_window);
-                self.tuned_window = (self.tuned_window * 2).min(cap);
-                self.pressure_ticks = 0;
-            }
-        } else {
-            self.pressure_ticks = 0;
-            if self.pending.len() <= self.tuned_window / 2 {
-                // Relax halfway back toward the configured window.
-                self.tuned_window =
-                    usize::midpoint(self.tuned_window, self.config.batch_window).max(1);
-            }
-        }
-        telemetry::gauge("serve.window").set(self.tuned_window as f64);
-    }
-
     /// Runs ticks until every queued and retrying request has settled.
     pub fn drain(&mut self) {
         while !self.pending.is_empty() || !self.retries.is_empty() {
@@ -1295,15 +1245,7 @@ impl BulkService {
     /// joins a batch that already has members — latency-sensitive
     /// tenants opt out of coalescing without stalling anyone else.
     fn collect_batch(&mut self) -> Vec<PendingRequest> {
-        // The auto-tuned window replaces the configured default, but an
-        // explicit per-tenant override still clamps: a window-1 tenant
-        // stays uncoalesced no matter how wide the tuner goes.
-        let default_window = if self.config.adaptive_batch_window {
-            self.tuned_window
-        } else {
-            self.config.batch_window
-        };
-        let mut window = default_window;
+        let mut window = self.config.batch_window;
         let mut batch = Vec::with_capacity(window);
         while let Some(req) = self.pending.pop_front() {
             if let Some(deadline) = req.deadline {
@@ -1327,13 +1269,7 @@ impl BulkService {
                     continue;
                 }
             }
-            let tenant_window = self
-                .config
-                .tenant_batch_window
-                .iter()
-                .find(|&&(t, _)| t == req.tenant.0)
-                .map_or(default_window, |&(_, w)| w);
-            let proposed = window.min(tenant_window);
+            let proposed = window.min(self.config.window_for(req.tenant));
             if batch.len() >= proposed {
                 self.pending.push_front(req);
                 break;
@@ -2400,73 +2336,5 @@ mod tests {
                 "{label} must be rejected at build time"
             );
         }
-    }
-
-    #[test]
-    fn adaptive_window_widens_under_pressure_and_narrows_for_deadlines() {
-        // Throughput mode: a deep queue with no deadlines should widen
-        // the window past the configured batch_window, finishing in
-        // fewer batches than the fixed-window service (the window-1 vs
-        // window-8 throughput/latency tradeoff, chosen automatically).
-        let drive = |adaptive: bool, deadlines: bool| -> (u64, usize) {
-            let mut cfg = ServiceConfig::small(2);
-            cfg.batch_window = 2;
-            cfg.queue_depth = 64;
-            cfg.tenant_quota = Some(64);
-            cfg.adaptive_batch_window = adaptive;
-            let mut svc = BulkService::new(cfg).unwrap();
-            svc.create_vector("a", 4).unwrap();
-            for i in 0..48u64 {
-                let deadline = if deadlines { Some(1 + i / 2) } else { None };
-                let _ = svc.submit(
-                    TenantId(0),
-                    LogicalOp::Write { dst: "a".into(), words: vec![i] },
-                    deadline,
-                );
-            }
-            svc.drain();
-            (svc.stats().batches, svc.tuned_window)
-        };
-        let (fixed_batches, _) = drive(false, false);
-        let (adaptive_batches, widened) = drive(true, false);
-        assert!(
-            adaptive_batches < fixed_batches,
-            "pressure must widen the window: {adaptive_batches} vs {fixed_batches} batches"
-        );
-        assert!(widened > 2, "window widened past the configured 2");
-        // Latency mode: imminent deadlines pull the window down to the
-        // floor instead of widening.
-        let (_, narrowed) = drive(true, true);
-        assert_eq!(narrowed, 1, "tight deadlines narrow the window to 1");
-    }
-
-    #[test]
-    fn adaptive_window_relaxes_back_when_pressure_clears() {
-        let mut cfg = ServiceConfig::small(1);
-        cfg.batch_window = 2;
-        cfg.queue_depth = 64;
-        cfg.tenant_quota = Some(64);
-        cfg.adaptive_batch_window = true;
-        let mut svc = BulkService::new(cfg).unwrap();
-        svc.create_vector("a", 4).unwrap();
-        for i in 0..40u64 {
-            let _ = svc.submit(
-                TenantId(0),
-                LogicalOp::Write { dst: "a".into(), words: vec![i] },
-                None,
-            );
-        }
-        svc.drain();
-        let widened = svc.tuned_window;
-        assert!(widened > 2);
-        // Idle ticks with an empty queue drift the window back toward
-        // the configured value.
-        for _ in 0..16 {
-            svc.step();
-        }
-        assert!(
-            svc.tuned_window < widened,
-            "an idle service relaxes toward batch_window"
-        );
     }
 }

@@ -1,23 +1,25 @@
-//! One shard of the service: a command-logging backend plus its batch
-//! execution entry point.
+//! One shard of the service: a backend plus its batch execution entry
+//! point.
 //!
 //! A shard owns an independent [`BulkBackend`] instance — FeRAM, the
 //! Ambit DRAM baseline, or either wrapped in a
-//! [`ReliabilityController`] — always built `.with_command_log()`. Each
-//! dispatch runs one coalesced [`RowOp`] batch through
-//! [`execute_batch`], then replays the batch's command log with
-//! [`schedule`] to price it as a *makespan* under subarray parallelism
-//! (one slot per subarray), and finally clears the log so the next
-//! batch's replay stands alone. The service charges each virtual tick
-//! the slowest shard's makespan, so more shards shrink simulated time
-//! for the same row-work.
+//! [`ReliabilityController`]. Each dispatch advances the backend's
+//! reliability clock, runs one coalesced [`RowOp`] batch through
+//! [`execute_batch`], and takes the batch's serial and makespan cycles
+//! from the backend with
+//! [`take_batch_cycles`](BulkBackend::take_batch_cycles). The backends
+//! price every command as they issue it, one execution slot per
+//! subarray, so the makespan is the one
+//! [`schedule`](felim_arch::schedule::schedule) would compute from the
+//! batch's command log. The service charges each virtual tick the
+//! slowest shard's makespan, so more shards shrink simulated time for
+//! the same row-work.
 
 use felim_arch::batch::{execute_batch, RowOp, RowOpOutput};
 use felim_arch::controller::{ControllerConfig, ReliabilityController};
 use felim_arch::drift::DriftSpec;
-use felim_arch::geometry::MemoryGeometry;
-use felim_arch::schedule::schedule;
-use felim_arch::{ArchError, BulkBackend, DramBackend, FeramBackend};
+use felim_arch::geometry::{MemoryGeometry, RowId};
+use felim_arch::{ArchError, BulkBackend, ControllerHealth, DramBackend, FeramBackend};
 use serde::Serialize;
 
 /// Which memory technology backs each shard.
@@ -39,15 +41,6 @@ impl Technology {
     }
 }
 
-/// The backend behind one shard. Reliability-tiered shards wrap the raw
-/// backend in a [`ReliabilityController`] (SECDED ECC + patrol scrub).
-enum ShardBackend {
-    Feram(Box<FeramBackend>),
-    Dram(Box<DramBackend>),
-    ReliableFeram(Box<ReliabilityController<FeramBackend>>),
-    ReliableDram(Box<ReliabilityController<DramBackend>>),
-}
-
 /// Outcome of one batch dispatch on one shard. `Clone + PartialEq` so
 /// outcomes can cross the [`wire`](crate::wire) protocol and be
 /// compared end-to-end in transport tests.
@@ -58,8 +51,8 @@ pub struct ShardBatchOutcome {
     pub outputs: Vec<Result<RowOpOutput, ArchError>>,
     /// Serial cycles the batch's commands would take back-to-back.
     pub serial_cycles: u64,
-    /// Makespan of the batch under subarray-parallel replay — the
-    /// shard's contribution to the tick's duration.
+    /// Makespan of the batch under subarray parallelism — the shard's
+    /// contribution to the tick's duration.
     pub makespan_cycles: u64,
     /// Energy charged for the batch, nanojoules.
     pub energy_nj: f64,
@@ -69,16 +62,19 @@ pub struct ShardBatchOutcome {
 }
 
 /// One shard: an isolated backend plus its dispatch state.
+/// Reliability-tiered shards wrap the raw backend in a
+/// [`ReliabilityController`] (SECDED ECC + patrol scrub).
 pub struct Shard {
-    backend: ShardBackend,
-    slots: usize,
+    backend: Box<dyn BulkBackend + Send>,
+    technology: Technology,
+    data_rows: u64,
 }
 
 impl std::fmt::Debug for Shard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shard")
             .field("tech", &self.tech_name())
-            .field("slots", &self.slots)
+            .field("data_rows", &self.data_rows)
             .finish()
     }
 }
@@ -92,89 +88,53 @@ impl Shard {
         geometry: MemoryGeometry,
         tier_config: Option<(DriftSpec, f64)>,
     ) -> Self {
-        let slots = geometry.subarrays().max(1) as usize;
-        let backend = match (technology, tier_config) {
-            (Technology::Feram, None) => {
-                ShardBackend::Feram(Box::new(FeramBackend::new(geometry).with_command_log()))
-            }
-            (Technology::Dram, None) => {
-                ShardBackend::Dram(Box::new(DramBackend::new(geometry).with_command_log()))
-            }
-            (Technology::Feram, Some((drift, period))) => {
-                let inner = FeramBackend::new(geometry).with_command_log();
-                ShardBackend::ReliableFeram(Box::new(ReliabilityController::new(
-                    inner,
+        fn tiered<B: BulkBackend + Send + 'static>(
+            backend: B,
+            tier_config: Option<(DriftSpec, f64)>,
+        ) -> Box<dyn BulkBackend + Send> {
+            match tier_config {
+                None => Box::new(backend),
+                Some((drift, period)) => Box::new(ReliabilityController::new(
+                    backend,
                     ControllerConfig::protected(drift, period),
-                )))
+                )),
             }
-            (Technology::Dram, Some((drift, period))) => {
-                let inner = DramBackend::new(geometry).with_command_log();
-                ShardBackend::ReliableDram(Box::new(ReliabilityController::new(
-                    inner,
-                    ControllerConfig::protected(drift, period),
-                )))
+        }
+        let (data_rows, backend) = match technology {
+            Technology::Feram => {
+                let m = FeramBackend::new(geometry);
+                (m.first_reserved_row().0, tiered(m, tier_config))
+            }
+            Technology::Dram => {
+                let m = DramBackend::new(geometry);
+                (m.first_reserved_row().0, tiered(m, tier_config))
             }
         };
-        Self { backend, slots }
+        Self {
+            backend,
+            technology,
+            data_rows,
+        }
     }
 
     /// The shard's technology label (`"feram"` / `"dram"`).
     pub fn tech_name(&self) -> &'static str {
-        match &self.backend {
-            ShardBackend::Feram(_) | ShardBackend::ReliableFeram(_) => "feram",
-            ShardBackend::Dram(_) | ShardBackend::ReliableDram(_) => "dram",
-        }
+        self.technology.label()
     }
 
     /// First reserved local row — data rows live strictly below it.
     pub fn data_rows(&self) -> u64 {
-        match &self.backend {
-            ShardBackend::Feram(m) => m.first_reserved_row().0,
-            ShardBackend::Dram(m) => m.first_reserved_row().0,
-            ShardBackend::ReliableFeram(c) => c.inner().first_reserved_row().0,
-            ShardBackend::ReliableDram(c) => c.inner().first_reserved_row().0,
-        }
+        self.data_rows
     }
 
     /// Runs one coalesced batch: advances the reliability clock by
-    /// `tick_s` (protected tiers), executes the ops, and prices the
-    /// batch's command log as a subarray-parallel makespan.
+    /// `tick_s` (protected tiers), executes the ops, and takes the
+    /// cycles the backend charged since the last batch, maintenance
+    /// traffic included.
     pub fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> ShardBatchOutcome {
-        let maintenance_error = match &mut self.backend {
-            ShardBackend::ReliableFeram(c) => c.tick(tick_s).err(),
-            ShardBackend::ReliableDram(c) => c.tick(tick_s).err(),
-            _ => None,
-        };
-
-        let report = execute_batch(self.backend_mut(), ops);
-
-        let (serial_cycles, makespan_cycles) = {
-            let (log, geometry, latency) = match &self.backend {
-                ShardBackend::Feram(m) => (m.command_log(), m.geometry(), m.latency_model()),
-                ShardBackend::Dram(m) => (m.command_log(), m.geometry(), m.latency_model()),
-                ShardBackend::ReliableFeram(c) => {
-                    let m = c.inner();
-                    (m.command_log(), m.geometry(), m.latency_model())
-                }
-                ShardBackend::ReliableDram(c) => {
-                    let m = c.inner();
-                    (m.command_log(), m.geometry(), m.latency_model())
-                }
-            };
-            if log.is_empty() {
-                (0, 0)
-            } else {
-                let replay = schedule(log, geometry, latency, self.slots);
-                (replay.serial_cycles, replay.makespan_cycles)
-            }
-        };
-        match &mut self.backend {
-            ShardBackend::Feram(m) => m.clear_command_log(),
-            ShardBackend::Dram(m) => m.clear_command_log(),
-            ShardBackend::ReliableFeram(c) => c.inner_mut().clear_command_log(),
-            ShardBackend::ReliableDram(c) => c.inner_mut().clear_command_log(),
-        }
-
+        let maintenance_error = self.backend.tick(tick_s).err();
+        let report = execute_batch(self.backend.as_mut(), ops);
+        let (serial_cycles, makespan_cycles) = self.backend.take_batch_cycles();
         ShardBatchOutcome {
             outputs: report.outputs,
             serial_cycles,
@@ -191,15 +151,9 @@ impl Shard {
     ///
     /// Propagates the backend's [`ArchError`].
     pub fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ArchError> {
-        let row = felim_arch::geometry::RowId(row);
-        let data = self.backend_mut().read_row(row);
+        let data = self.backend.read_row(RowId(row));
         // Keep maintenance traffic out of the next batch's makespan.
-        match &mut self.backend {
-            ShardBackend::Feram(m) => m.clear_command_log(),
-            ShardBackend::Dram(m) => m.clear_command_log(),
-            ShardBackend::ReliableFeram(c) => c.inner_mut().clear_command_log(),
-            ShardBackend::ReliableDram(c) => c.inner_mut().clear_command_log(),
-        }
+        self.backend.take_batch_cycles();
         data
     }
 
@@ -207,56 +161,25 @@ impl Shard {
     /// side-bands, drift clocks) for replica transfer. `None` when the
     /// backend cannot snapshot (e.g. a fault injector is attached).
     pub fn snapshot_state(&self) -> Option<Vec<u8>> {
-        match &self.backend {
-            ShardBackend::Feram(m) => BulkBackend::snapshot_state(m.as_ref()),
-            ShardBackend::Dram(m) => BulkBackend::snapshot_state(m.as_ref()),
-            ShardBackend::ReliableFeram(c) => BulkBackend::snapshot_state(c.as_ref()),
-            ShardBackend::ReliableDram(c) => BulkBackend::snapshot_state(c.as_ref()),
-        }
+        self.backend.snapshot_state()
     }
 
     /// Restores the backend from a [`snapshot_state`](Self::snapshot_state)
     /// buffer. `false` (state untouched) on any mismatch or corruption.
     pub fn restore_state(&mut self, snapshot: &[u8]) -> bool {
-        self.backend_mut().restore_state(snapshot)
+        self.backend.restore_state(snapshot)
     }
 
     /// Current reliability-health counters. Raw (Baseline) shards report
     /// all-zero health: nothing is tracked, so nothing can degrade.
-    pub fn health(&self) -> felim_arch::ControllerHealth {
-        match &self.backend {
-            ShardBackend::ReliableFeram(c) => c.health(),
-            ShardBackend::ReliableDram(c) => c.health(),
-            ShardBackend::Feram(_) | ShardBackend::Dram(_) => {
-                felim_arch::ControllerHealth::default()
-            }
-        }
-    }
-
-    /// Cumulative backend statistics (cycles, energy, command mix).
-    pub fn stats(&self) -> &felim_arch::stats::ExecStats {
-        match &self.backend {
-            ShardBackend::Feram(m) => m.stats(),
-            ShardBackend::Dram(m) => m.stats(),
-            ShardBackend::ReliableFeram(c) => c.stats(),
-            ShardBackend::ReliableDram(c) => c.stats(),
-        }
-    }
-
-    fn backend_mut(&mut self) -> &mut dyn BulkBackend {
-        match &mut self.backend {
-            ShardBackend::Feram(m) => m.as_mut(),
-            ShardBackend::Dram(m) => m.as_mut(),
-            ShardBackend::ReliableFeram(c) => c.as_mut(),
-            ShardBackend::ReliableDram(c) => c.as_mut(),
-        }
+    pub fn health(&self) -> ControllerHealth {
+        self.backend.health()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use felim_arch::geometry::RowId;
 
     #[test]
     fn batch_prices_as_makespan_not_serial_sum() {
@@ -289,8 +212,28 @@ mod tests {
         let first = shard.execute(&ops, 1e-3);
         let second = shard.execute(&ops, 1e-3);
         assert_eq!(
-            first.makespan_cycles, second.makespan_cycles,
-            "log must be cleared between batches"
+            (first.serial_cycles, first.makespan_cycles),
+            (second.serial_cycles, second.makespan_cycles),
+            "the clock must restart between batches"
+        );
+
+        // A maintenance read between batches is not charged to the next.
+        shard.read_local_row(0).unwrap();
+        let after_read = shard.execute(&ops, 1e-3);
+        assert_eq!(
+            (first.serial_cycles, first.makespan_cycles),
+            (after_read.serial_cycles, after_read.makespan_cycles),
+            "a local read must not leak into the next batch"
+        );
+
+        // Nor does a snapshot round trip.
+        let snapshot = shard.snapshot_state().unwrap();
+        assert!(shard.restore_state(&snapshot));
+        let after_restore = shard.execute(&ops, 1e-3);
+        assert_eq!(
+            (first.serial_cycles, first.makespan_cycles),
+            (after_restore.serial_cycles, after_restore.makespan_cycles),
+            "a snapshot round trip must not perturb pricing"
         );
     }
 

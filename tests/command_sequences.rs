@@ -1,10 +1,20 @@
 //! Command-sequence verification: the backends must issue *exactly* the
 //! primitive chains the paper describes — AAP for DRAM, ACP for FeRAM.
 
-use felim::arch::{BulkBackend, Command, DramBackend, FeramBackend, MemoryGeometry, RowId};
+use felim::arch::{
+    schedule, BulkBackend, Command, DramBackend, FeramBackend, LatencyModel, MemoryGeometry, RowId,
+};
 
 fn fill(words: usize, w: u64) -> Vec<u64> {
     vec![w; words]
+}
+
+/// The backend's online clock must price a sequence exactly as the
+/// offline replay of its command log does, one slot per subarray.
+fn assert_clock_matches_replay(cycles: (u64, u64), log: &[Command], geometry: &MemoryGeometry) {
+    let slots = geometry.subarrays() as usize;
+    let replay = schedule(log, geometry, &LatencyModel::paper_default(), slots);
+    assert_eq!(cycles, (replay.serial_cycles, replay.makespan_cycles));
 }
 
 #[test]
@@ -15,7 +25,9 @@ fn dram_and_is_exactly_four_aaps() {
     m.install_row(RowId(1), &fill(words, 2)).unwrap();
     m.and(RowId(0), RowId(1), RowId(2)).unwrap();
 
+    let cycles = m.take_batch_cycles();
     let log = m.command_log();
+    assert_clock_matches_replay(cycles, log, m.geometry());
     assert_eq!(log.len(), 12, "4 AAPs = 12 commands");
     // Three staging AAPs: ACTIVATE + RowClone + PRECHARGE each.
     for aap in 0..3 {
@@ -35,7 +47,9 @@ fn dram_not_uses_the_dcc_chain() {
     let words = m.geometry().row_words();
     m.install_row(RowId(0), &fill(words, 0xFF)).unwrap();
     m.not(RowId(0), RowId(1)).unwrap();
+    let cycles = m.take_batch_cycles();
     let log = m.command_log();
+    assert_clock_matches_replay(cycles, log, m.geometry());
     assert_eq!(log.len(), 6, "2 AAPs");
     assert!(matches!(log[0], Command::Activate(RowId(0))));
     assert!(matches!(log[3], Command::Activate(_)), "DCC activation");
@@ -50,7 +64,9 @@ fn feram_nand_is_exactly_two_acps() {
     m.install_row(RowId(1), &fill(words, 2)).unwrap();
     m.nand(RowId(0), RowId(1), RowId(2)).unwrap();
 
+    let cycles = m.take_batch_cycles();
     let log = m.command_log();
+    assert_clock_matches_replay(cycles, log, m.geometry());
     assert_eq!(log.len(), 6, "colocation ACP + logic ACP");
     // Colocation: read B, copy (complemented to undo QNRO inversion).
     assert!(matches!(log[0], Command::Activate(RowId(1))));
@@ -82,6 +98,7 @@ fn feram_and_differs_from_nand_only_in_copy_polarity() {
         m.install_row(RowId(0), &fill(words, 1)).unwrap();
         m.install_row(RowId(1), &fill(words, 2)).unwrap();
         op(&mut m, RowId(0), RowId(1), RowId(2));
+        assert_clock_matches_replay(m.take_batch_cycles(), m.command_log(), m.geometry());
         m.command_log().to_vec()
     };
     let nand = run(|m, a, b, d| m.nand(a, b, d).unwrap());
@@ -115,7 +132,9 @@ fn feram_not_is_one_acp_with_inverting_read_passthrough() {
     let words = m.geometry().row_words();
     m.install_row(RowId(0), &fill(words, 0xAA)).unwrap();
     m.not(RowId(0), RowId(1)).unwrap();
+    let cycles = m.take_batch_cycles();
     let log = m.command_log();
+    assert_clock_matches_replay(cycles, log, m.geometry());
     assert_eq!(log.len(), 3, "a single ACP — no DCC anywhere");
     assert!(matches!(log[0], Command::Activate(RowId(0))));
     // The QNRO read already inverted; the copy passes it through.
@@ -136,4 +155,6 @@ fn logging_off_means_empty_log() {
     m.install_row(RowId(0), &fill(words, 1)).unwrap();
     let _ = m.read_row(RowId(0));
     assert!(m.command_log().is_empty());
+    // The batch clock runs without the log.
+    assert!(m.take_batch_cycles().0 > 0);
 }
