@@ -95,7 +95,7 @@ impl fmt::Display for KernelParseError {
 impl std::error::Error for KernelParseError {}
 
 struct ExprParser<'a> {
-    src: &'a [u8],
+    src: &'a str,
     /// Global byte offset of `src[0]` in the original program text, so
     /// error positions point into the program, not the statement.
     base: usize,
@@ -104,14 +104,14 @@ struct ExprParser<'a> {
 
 impl<'a> ExprParser<'a> {
     fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
+        while self.pos < self.src.len() && self.src.as_bytes()[self.pos].is_ascii_whitespace() {
             self.pos += 1;
         }
     }
 
     fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -175,7 +175,12 @@ impl<'a> ExprParser<'a> {
                 Ok(inner)
             }
             Some(c) if c == b'_' || c.is_ascii_alphabetic() => Ok(Expr::Name(self.parse_ident())),
-            Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
+            Some(_) => {
+                // `pos` sits on a char boundary (the parser only advances
+                // over ASCII), so report the whole character, not a byte.
+                let c: String = self.src[self.pos..].chars().take(1).collect();
+                Err(self.err(format!("unexpected character `{c}`")))
+            }
             None => Err(self.err("unexpected end of statement")),
         }
     }
@@ -185,14 +190,48 @@ impl<'a> ExprParser<'a> {
         let start = self.pos;
         while self
             .src
+            .as_bytes()
             .get(self.pos)
             .is_some_and(|&c| c == b'_' || c.is_ascii_alphanumeric())
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.src[start..self.pos])
-            .expect("identifier bytes are ASCII")
-            .to_owned()
+        self.src[start..self.pos].to_owned()
+    }
+
+    fn expect_end(&mut self) -> Result<(), KernelParseError> {
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(self.err("trailing input after expression"));
+        }
+        Ok(())
+    }
+}
+
+impl Expr {
+    /// Parses one expression — the right-hand side of a statement, with
+    /// no target and no comments. Error positions are byte offsets into
+    /// `input`.
+    ///
+    /// ```
+    /// use felim_serve::dsl::{Expr, Program};
+    ///
+    /// let e = Expr::parse("(a & b) ^ ~c").unwrap();
+    /// assert_eq!(e, Program::parse("d = (a & b) ^ ~c").unwrap().statements[0].expr);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`KernelParseError`] carrying the failing byte position.
+    pub fn parse(input: &str) -> Result<Expr, KernelParseError> {
+        let mut p = ExprParser {
+            src: input,
+            base: 0,
+            pos: 0,
+        };
+        let expr = p.parse_or()?;
+        p.expect_end()?;
+        Ok(expr)
     }
 }
 
@@ -245,7 +284,7 @@ impl Program {
 
     fn parse_statement(seg: &str, base: usize) -> Result<Statement, KernelParseError> {
         let mut p = ExprParser {
-            src: seg.as_bytes(),
+            src: seg,
             base,
             pos: 0,
         };
@@ -257,10 +296,7 @@ impl Program {
             return Err(p.err("expected `=` after target name"));
         }
         let expr = p.parse_or()?;
-        p.skip_ws();
-        if p.pos != p.src.len() {
-            return Err(p.err("trailing input after expression"));
-        }
+        p.expect_end()?;
         Ok(Statement { target, expr })
     }
 
@@ -402,6 +438,9 @@ mod tests {
         assert!(e.message.contains("trailing"));
         let e = Program::parse("d = 5").unwrap_err();
         assert!(e.message.contains("unexpected character"));
+        let e = Program::parse("d = é").unwrap_err();
+        assert!(e.message.contains("unexpected character `é`"), "{}", e.message);
+        assert_eq!(e.position, 4);
         let e = Program::parse("# only a comment\n\n").unwrap_err();
         assert!(e.message.contains("no statements"));
         // Second-line errors point past the first line.

@@ -6,8 +6,11 @@
 //! software face of the bitmap-index-query workload: the strings a query
 //! engine would generate, executed entirely in memory.
 //!
-//! Grammar (precedence low→high): `|`, `^`, `&`, unary `!`, parentheses,
-//! identifiers (`[A-Za-z_][A-Za-z0-9_]*`).
+//! The grammar is the kernel DSL's expression grammar
+//! ([`felim_serve::dsl`]): precedence low→high `|`, `^`, `&`, unary `!`
+//! or `~` (synonyms), parentheses, identifiers
+//! (`[A-Za-z_][A-Za-z0-9_]*`). Parse errors are the DSL's
+//! [`KernelParseError`]s.
 //!
 //! ```
 //! use felim_workloads::query::Predicate;
@@ -18,139 +21,18 @@
 //! ```
 
 use felim_arch::{ArchError, BulkBackend, RowId};
+use felim_serve::dsl::{Expr, KernelParseError, Program, Statement};
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// A parsed boolean predicate over named columns.
+/// The predicate's statement target. `#` starts a DSL comment, so no
+/// column name can spell it.
+const RESULT: &str = "#result";
+
+/// A parsed boolean predicate over named columns, held as a
+/// one-statement kernel program whose target no column name can spell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
-    root: Expr,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Expr {
-    Column(String),
-    Not(Box<Expr>),
-    And(Box<Expr>, Box<Expr>),
-    Or(Box<Expr>, Box<Expr>),
-    Xor(Box<Expr>, Box<Expr>),
-}
-
-/// Parse failure with byte position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryParseError {
-    /// Byte offset in the input.
-    pub position: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for QueryParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "predicate parse error at byte {}: {}",
-            self.position, self.message
-        )
-    }
-}
-
-impl std::error::Error for QueryParseError {}
-
-struct Parser<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.src.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.pos += 1;
-        Some(c)
-    }
-
-    fn err(&self, message: impl Into<String>) -> QueryParseError {
-        QueryParseError {
-            position: self.pos,
-            message: message.into(),
-        }
-    }
-
-    // or := xor ('|' xor)*
-    fn parse_or(&mut self) -> Result<Expr, QueryParseError> {
-        let mut left = self.parse_xor()?;
-        while self.peek() == Some(b'|') {
-            self.bump();
-            let right = self.parse_xor()?;
-            left = Expr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    // xor := and ('^' and)*
-    fn parse_xor(&mut self) -> Result<Expr, QueryParseError> {
-        let mut left = self.parse_and()?;
-        while self.peek() == Some(b'^') {
-            self.bump();
-            let right = self.parse_and()?;
-            left = Expr::Xor(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    // and := unary ('&' unary)*
-    fn parse_and(&mut self) -> Result<Expr, QueryParseError> {
-        let mut left = self.parse_unary()?;
-        while self.peek() == Some(b'&') {
-            self.bump();
-            let right = self.parse_unary()?;
-            left = Expr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr, QueryParseError> {
-        match self.peek() {
-            Some(b'!') => {
-                self.bump();
-                Ok(Expr::Not(Box::new(self.parse_unary()?)))
-            }
-            Some(b'(') => {
-                self.bump();
-                let inner = self.parse_or()?;
-                if self.bump() != Some(b')') {
-                    return Err(self.err("expected `)`"));
-                }
-                Ok(inner)
-            }
-            Some(c) if c == b'_' || c.is_ascii_alphabetic() => {
-                let start = self.pos;
-                while self
-                    .src
-                    .get(self.pos)
-                    .is_some_and(|&c| c == b'_' || c.is_ascii_alphanumeric())
-                {
-                    self.pos += 1;
-                }
-                let name = std::str::from_utf8(&self.src[start..self.pos])
-                    .expect("identifier bytes are ASCII");
-                Ok(Expr::Column(name.to_owned()))
-            }
-            Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
+    program: Program,
 }
 
 impl Predicate {
@@ -158,55 +40,36 @@ impl Predicate {
     ///
     /// # Errors
     ///
-    /// Returns a [`QueryParseError`] with the failing position.
-    pub fn parse(input: &str) -> Result<Predicate, QueryParseError> {
-        let mut p = Parser {
-            src: input.as_bytes(),
-            pos: 0,
-        };
-        let root = p.parse_or()?;
-        p.skip_ws();
-        if p.pos != p.src.len() {
-            return Err(p.err("trailing input"));
-        }
-        Ok(Predicate { root })
+    /// Returns a [`KernelParseError`] with the failing byte position.
+    pub fn parse(input: &str) -> Result<Predicate, KernelParseError> {
+        let expr = Expr::parse(input)?;
+        Ok(Predicate {
+            program: Program {
+                statements: vec![Statement {
+                    target: RESULT.to_owned(),
+                    expr,
+                }],
+            },
+        })
+    }
+
+    fn root(&self) -> &Expr {
+        &self.program.statements[0].expr
     }
 
     /// The distinct column names, sorted.
     pub fn columns(&self) -> Vec<String> {
-        fn walk(e: &Expr, out: &mut Vec<String>) {
-            match e {
-                Expr::Column(c) => {
-                    if !out.contains(c) {
-                        out.push(c.clone());
-                    }
-                }
-                Expr::Not(x) => walk(x, out),
-                Expr::And(a, b) | Expr::Or(a, b) | Expr::Xor(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, &mut out);
-        out.sort();
-        out
+        self.program.inputs()
     }
 
     /// Scalar reference evaluation against a column→bool environment.
     /// Missing columns read as `false`.
     pub fn eval(&self, env: &BTreeMap<&str, bool>) -> bool {
-        fn walk(e: &Expr, env: &BTreeMap<&str, bool>) -> bool {
-            match e {
-                Expr::Column(c) => *env.get(c.as_str()).unwrap_or(&false),
-                Expr::Not(x) => !walk(x, env),
-                Expr::And(a, b) => walk(a, env) && walk(b, env),
-                Expr::Or(a, b) => walk(a, env) || walk(b, env),
-                Expr::Xor(a, b) => walk(a, env) ^ walk(b, env),
-            }
-        }
-        walk(&self.root, env)
+        let words = env
+            .iter()
+            .map(|(&name, &bit)| (name.to_owned(), if bit { !0 } else { 0 }))
+            .collect();
+        self.program.eval_words(&words)[RESULT] != 0
     }
 
     /// Number of row-level logic operations the compiled program issues
@@ -214,12 +77,12 @@ impl Predicate {
     pub fn op_count(&self) -> usize {
         fn walk(e: &Expr) -> usize {
             match e {
-                Expr::Column(_) => 0,
+                Expr::Name(_) => 0,
                 Expr::Not(x) => 1 + walk(x),
                 Expr::And(a, b) | Expr::Or(a, b) | Expr::Xor(a, b) => 1 + walk(a) + walk(b),
             }
         }
-        walk(&self.root)
+        walk(self.root())
     }
 
     /// Compiles and executes the predicate over bitmap column rows.
@@ -244,7 +107,7 @@ impl Predicate {
         dst: RowId,
     ) -> Result<(), ArchError> {
         let mut next_scratch = scratch_base.0;
-        let result = Self::compile(&self.root, backend, columns, &mut next_scratch, Some(dst))?;
+        let result = Self::compile(self.root(), backend, columns, &mut next_scratch, Some(dst))?;
         if result != dst {
             backend.copy(result, dst)?;
         }
@@ -268,7 +131,7 @@ impl Predicate {
             })
         }
         match e {
-            Expr::Column(c) => Ok(*columns
+            Expr::Name(c) => Ok(*columns
                 .get(c)
                 .unwrap_or_else(|| panic!("missing bitmap column `{c}`"))),
             Expr::Not(x) => {
@@ -329,7 +192,7 @@ mod tests {
     #[test]
     fn parse_errors_carry_positions() {
         let e = Predicate::parse("a & ").unwrap_err();
-        assert!(e.message.contains("end of input"));
+        assert!(e.message.contains("end of statement"));
         let e = Predicate::parse("(a | b").unwrap_err();
         assert!(e.message.contains(")"));
         let e = Predicate::parse("a b").unwrap_err();
@@ -337,6 +200,9 @@ mod tests {
         let e = Predicate::parse("a & 5").unwrap_err();
         assert!(e.message.contains("unexpected character"));
         assert!(e.to_string().contains("byte"));
+        let e = Predicate::parse("a & é").unwrap_err();
+        assert!(e.message.contains("unexpected character `é`"), "{}", e.message);
+        assert_eq!(e.position, 4);
     }
 
     #[test]

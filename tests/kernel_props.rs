@@ -8,12 +8,19 @@
 //! the raw Baseline tier and under the Protected tier's ECC-wrapped
 //! shards, at several shard counts, so striping arithmetic, scratch-row
 //! placement, and write-back copies are all exercised.
+//!
+//! The same random expressions also drive `workloads::query::Predicate`,
+//! which shares the DSL's expression grammar: parsed alone or as a
+//! statement's right-hand side they give one AST, and a predicate run
+//! on a FeRAM or DRAM backend matches the same oracle.
 
-use felim::arch::DriftSpec;
+use felim::arch::{BulkBackend, DramBackend, DriftSpec, FeramBackend, MemoryGeometry, RowId};
 use felim::exec::derive_seed;
+use felim::serve::dsl::Expr;
 use felim::serve::{
     BulkService, LogicalOp, Program, ServiceConfig, ServiceTier, TenantId,
 };
+use felim::workloads::query::Predicate;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -185,5 +192,50 @@ proptest! {
             &program,
             &inputs,
         );
+    }
+
+    /// One grammar, both entry points: `Expr::parse(e)` is the
+    /// right-hand side of `d = e`, and `Predicate::parse(e)` executed in
+    /// memory matches `Program::eval_words` word for word on both
+    /// technologies.
+    fn predicates_share_the_kernel_grammar(seed in 0u64..u64::MAX) {
+        let mut g = Gen::new(seed);
+        let names: Vec<String> = ["a", "b", "c"].iter().map(|s| s.to_string()).collect();
+        let expr = gen_expr(&mut g, &names, 3);
+        let program = Program::parse(&format!("d = {expr}")).expect("generated programs parse");
+        prop_assert_eq!(
+            &Expr::parse(&expr).expect("generated expressions parse"),
+            &program.statements[0].expr
+        );
+
+        let predicate = Predicate::parse(&expr).expect("generated predicates parse");
+        for (tech, backend) in [
+            ("FeRAM", &mut FeramBackend::new(MemoryGeometry::tiny()) as &mut dyn BulkBackend),
+            ("DRAM", &mut DramBackend::new(MemoryGeometry::tiny()) as &mut dyn BulkBackend),
+        ] {
+            let words = backend.geometry().row_words();
+            let mut columns = BTreeMap::new();
+            let mut data = Vec::new();
+            for (i, name) in names.iter().enumerate() {
+                let row: Vec<u64> = (0..words).map(|_| g.next()).collect();
+                backend.install_row(RowId(i as u64), &row).expect("row installs");
+                columns.insert(name.clone(), RowId(i as u64));
+                data.push(row);
+            }
+            let dst = RowId(10);
+            predicate.execute(backend, &columns, RowId(20), dst).expect("fault-free backend");
+            let got = backend.read_row(dst).expect("row readable");
+            for (w, &word) in got.iter().enumerate() {
+                let env = names.iter().cloned().zip(data.iter().map(|row| row[w])).collect();
+                prop_assert_eq!(
+                    word,
+                    program.eval_words(&env)["d"],
+                    "word {} of `{}` on {}",
+                    w,
+                    expr,
+                    tech
+                );
+            }
+        }
     }
 }
