@@ -33,6 +33,7 @@
 //! ```
 
 use crate::geometry::RowId;
+use crate::snapshot::{put_u64, put_words, take_u64, take_words};
 use crate::{ArchError, BulkBackend};
 use felim_telemetry::CachedCounter;
 use serde::Serialize;
@@ -212,40 +213,10 @@ pub fn execute_batch(backend: &mut dyn BulkBackend, ops: &[RowOp]) -> BatchRepor
 // length-prefixed binary frames. The types that cross the link encode
 // themselves here — next to their definitions — so a new variant cannot
 // be added without the codec (and its round-trip property test)
-// noticing. All integers are little-endian; `f64` travels as its IEEE
-// bit pattern, so replies are bit-identical across the link.
+// noticing. They use the little-endian primitives of `crate::snapshot`,
+// like every other codec in the workspace; `f64` travels as its IEEE bit
+// pattern, so replies are bit-identical across the link.
 // ---------------------------------------------------------------------
-
-/// Appends a `u64` little-endian.
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Reads a `u64` little-endian, advancing `pos`. `None` on short input.
-fn take_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let bytes = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
-}
-
-/// Appends a word slice as a count-prefixed run.
-fn put_words(out: &mut Vec<u8>, words: &[u64]) {
-    put_u64(out, words.len() as u64);
-    for &w in words {
-        put_u64(out, w);
-    }
-}
-
-/// Reads a count-prefixed word run. `None` on short input or a count
-/// that exceeds the remaining bytes (a corrupt length cannot allocate
-/// unboundedly).
-fn take_words(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
-    let n = take_u64(buf, pos)?;
-    if (buf.len() - *pos) as u64 / 8 < n {
-        return None;
-    }
-    (0..n).map(|_| take_u64(buf, pos)).collect()
-}
 
 impl RowOp {
     /// Appends this op's wire encoding (tag byte + operand rows) to

@@ -83,7 +83,7 @@ pub use chaos::{ChaosAction, ChaosProxy, ChaosSpec};
 pub use dsl::{KernelParseError, Program};
 pub use plan::{KernelPlan, KernelPlanError};
 pub use remote::{
-    ConnectRetry, PoolMember, RemoteShard, ShardHost, ShardHostChild, ShardPool, SlotRegistry,
+    ConnectRetry, PoolMember, RemoteShard, ShardHost, ShardHostChild, SlotRegistry,
     SNAPSHOT_CHUNK_LEN,
 };
 pub use replica::{ReplicaStats, ReplicationConfig};

@@ -1,5 +1,5 @@
-//! Remote shards: TCP clients, the mixed local/remote shard pool, and
-//! the daemon-side session loop behind `felim-shardd`.
+//! Remote shards: TCP clients, the pool-member trait local and remote
+//! shards share, and the daemon-side session loop behind `felim-shardd`.
 //!
 //! The [`wire`](crate::wire) module defines *what* crosses the link;
 //! this module defines *who talks*:
@@ -14,17 +14,18 @@
 //!   would break the determinism contract — every later call returns
 //!   the same typed [`ServeError::Transport`] instead (honest
 //!   backpressure, never silent drops).
-//! * [`ShardPool`] — the dispatch surface the service runs against: a
-//!   vector of members, each either a local `Mutex<Shard>` or a
-//!   `Mutex<RemoteShard>`. Both arms expose the same
-//!   `execute`/`read_local_row` calls, so [`BulkService`] settles
-//!   responses identically whether a shard is in-process, across a
-//!   socket, or a mix (pinned by `tests/remote.rs`).
-//! * [`ShardHost`] + [`run_session`] — the daemon side: accept a
-//!   connection, build one fresh [`Shard`] per session from the Hello
-//!   parameters, answer batches until `Shutdown` or peer loss. One
-//!   shard per *connection* keeps the daemon state-safe: a new session
-//!   can never observe a previous client's rows.
+//! * [`PoolMember`] — the dispatch surface the service runs against,
+//!   implemented by [`Shard`] and [`RemoteShard`]. [`BulkService`] holds
+//!   its pool as `Mutex<Box<dyn PoolMember>>` members and never asks
+//!   which kind a member is, so it settles responses identically
+//!   whether a shard is in-process, across a socket, or a mix (pinned
+//!   by `tests/remote.rs`).
+//! * [`ShardHost`] + [`run_session_mux`] — the daemon side: accept a
+//!   connection, look up or build the [`Shard`] at the slot the Hello
+//!   names (in a [`SlotRegistry`] shared by every session), and answer
+//!   batches until `Shutdown` or peer loss. A fresh Hello always builds
+//!   a new shard, so a new session can never observe a previous
+//!   client's rows; a resume Hello re-attaches for failover rebuilds.
 //! * [`ShardHostChild`] — test/bench helper that spawns a `felim-shardd`
 //!   child on an ephemeral loopback port, parses the advertised
 //!   address, and kills the daemon on drop so suites never leak
@@ -43,7 +44,7 @@ use felim_telemetry as telemetry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Chunk size for snapshot transfer frames: large enough to amortise
@@ -294,6 +295,20 @@ impl RemoteShard {
         }
     }
 
+    /// Errors out unless no batch awaits its reply: maintenance `call`s
+    /// (reads, snapshots, health polls) cannot interleave with the
+    /// pipeline, whose replies must arrive in sequence order.
+    fn require_idle(&self, call: &str) -> Result<(), ServeError> {
+        if self.inflight.is_empty() {
+            return Ok(());
+        }
+        Err(ServeError::Transport {
+            peer: self.peer.clone(),
+            kind: TransportErrorKind::Protocol,
+            detail: format!("{call} with {} batches in flight", self.inflight.len()),
+        })
+    }
+
     fn write_frame(&mut self, frame: &Frame) -> Result<(), ServeError> {
         self.check_poison()?;
         frame
@@ -359,7 +374,7 @@ impl RemoteShard {
     }
 
     /// Depth-1 convenience: send one batch and wait for its outcome —
-    /// the call shape [`ShardPool`] dispatches through.
+    /// the call shape [`PoolMember::execute`] dispatches through.
     ///
     /// # Errors
     ///
@@ -379,16 +394,7 @@ impl RemoteShard {
     /// [`ServeError::Transport`] for link failures,
     /// [`ServeError::Backend`] when the remote backend itself faulted.
     pub fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ServeError> {
-        if !self.inflight.is_empty() {
-            return Err(ServeError::Transport {
-                peer: self.peer.clone(),
-                kind: TransportErrorKind::Protocol,
-                detail: format!(
-                    "read_local_row with {} batches in flight",
-                    self.inflight.len()
-                ),
-            });
-        }
+        self.require_idle("read_local_row")?;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.write_frame(&Frame::ReadRow { seq, row })?;
@@ -445,13 +451,7 @@ impl RemoteShard {
     /// [`ServeError::Transport`] on link failure, a non-chunk reply, or
     /// chunks that do not assemble into the advertised total.
     pub fn fetch_snapshot(&mut self) -> Result<Option<Vec<u8>>, ServeError> {
-        if !self.inflight.is_empty() {
-            return Err(ServeError::Transport {
-                peer: self.peer.clone(),
-                kind: TransportErrorKind::Protocol,
-                detail: format!("fetch_snapshot with {} batches in flight", self.inflight.len()),
-            });
-        }
+        self.require_idle("fetch_snapshot")?;
         let mut snapshot = Vec::new();
         loop {
             let offset = snapshot.len() as u64;
@@ -506,13 +506,7 @@ impl RemoteShard {
     ///
     /// [`ServeError::Transport`] on link failure or a rejected chunk.
     pub fn push_snapshot(&mut self, snapshot: &[u8]) -> Result<bool, ServeError> {
-        if !self.inflight.is_empty() {
-            return Err(ServeError::Transport {
-                peer: self.peer.clone(),
-                kind: TransportErrorKind::Protocol,
-                detail: format!("push_snapshot with {} batches in flight", self.inflight.len()),
-            });
-        }
+        self.require_idle("push_snapshot")?;
         let total_len = snapshot.len() as u64;
         let mut offset = 0u64;
         loop {
@@ -552,13 +546,7 @@ impl RemoteShard {
     ///
     /// [`ServeError::Transport`] on link failure or a non-health reply.
     pub fn health(&mut self) -> Result<ControllerHealth, ServeError> {
-        if !self.inflight.is_empty() {
-            return Err(ServeError::Transport {
-                peer: self.peer.clone(),
-                kind: TransportErrorKind::Protocol,
-                detail: format!("health poll with {} batches in flight", self.inflight.len()),
-            });
-        }
+        self.require_idle("health poll")?;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.write_frame(&Frame::Health { seq })?;
@@ -599,207 +587,146 @@ impl Drop for RemoteShard {
     }
 }
 
-/// One member of the service's shard pool.
-pub enum PoolMember {
-    /// An in-process shard, exactly as PR 7 built them.
-    Local(Mutex<Shard>),
-    /// A shard hosted behind a `felim-shardd` session. Boxed: a
-    /// session (stream + frame buffers + poison record) dwarfs the
-    /// `Local` variant, and pools mix both.
-    Remote(Mutex<Box<RemoteShard>>),
-}
-
-/// The dispatch surface [`BulkService`](crate::BulkService) runs
-/// against: an indexable pool whose members answer `execute` and
-/// `read_local_row` identically whether local or remote. Settlement
-/// order is (tick, shard, sequence) — the service reduces outcomes in
-/// shard-index order every tick and each remote link settles its
-/// replies in sequence order, so the response log is byte-identical for
-/// any local/remote mix.
-pub struct ShardPool {
-    members: Vec<PoolMember>,
-}
-
-impl std::fmt::Debug for ShardPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPool")
-            .field("shards", &self.members.len())
-            .field("remote", &self.remote_count())
-            .finish()
-    }
-}
-
-impl ShardPool {
-    /// Wraps the members into a pool.
-    pub fn new(members: Vec<PoolMember>) -> Self {
-        Self { members }
-    }
-
-    /// Number of shards in the pool.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when the pool has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Number of remote members.
-    pub fn remote_count(&self) -> usize {
-        self.members
-            .iter()
-            .filter(|m| matches!(m, PoolMember::Remote(_)))
-            .count()
-    }
-
-    /// Is shard `s` remote?
-    pub fn is_remote(&self, s: usize) -> bool {
-        matches!(self.members[s], PoolMember::Remote(_))
-    }
-
-    /// Data rows of shard `s` (identical across members by
+/// One member of the service's shard pool: an in-process [`Shard`] or a
+/// [`RemoteShard`] session, answering the same calls either way.
+/// [`BulkService`](crate::BulkService) holds members as
+/// `Mutex<Box<dyn PoolMember>>` and never asks which kind it has.
+/// Settlement order is (tick, shard, sequence) — the service reduces
+/// outcomes in shard-index order every tick and each remote link settles
+/// its replies in sequence order, so the response log is byte-identical
+/// for any local/remote mix.
+///
+/// Every call returns `Result` so a member that lives across a link can
+/// fail with [`ServeError::Transport`]; in-process members only fail
+/// where their backend does.
+pub trait PoolMember: Send {
+    /// Data rows of the member's shard (identical across members by
     /// construction; validated by the service at build time).
-    pub fn data_rows(&self, s: usize) -> u64 {
-        match &self.members[s] {
-            PoolMember::Local(shard) => shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .data_rows(),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .data_rows(),
-        }
-    }
-
-    /// Executes one coalesced batch on shard `s`.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Transport`] when a remote member's link failed;
-    /// local members are infallible at this layer (their per-op faults
-    /// ride inside the outcome).
-    pub fn execute(
-        &self,
-        s: usize,
-        ops: &[RowOp],
-        tick_s: f64,
-    ) -> Result<ShardBatchOutcome, ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(shard) => Ok(shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .execute(ops, tick_s)),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .execute(ops, tick_s),
-        }
-    }
+    /// None for the members in this crate: a remote member learnt its
+    /// rows at the handshake.
+    fn data_rows(&self) -> Result<u64, ServeError>;
 
-    /// Maintenance read of shard `s`'s local `row`.
+    /// Executes one coalesced batch. Per-op faults ride inside the
+    /// outcome.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Transport`] when a remote member's link failed.
+    fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError>;
+
+    /// Maintenance read of one shard-local `row`.
     ///
     /// # Errors
     ///
     /// [`ServeError::Backend`] for backend faults,
     /// [`ServeError::Transport`] for remote link failures.
-    pub fn read_local_row(&self, s: usize, row: u64) -> Result<Vec<u64>, ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(shard) => shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .read_local_row(row)
-                .map_err(|source| ServeError::Backend { source }),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .read_local_row(row),
-        }
-    }
+    fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ServeError>;
 
-    /// Pulls member `s`'s complete state snapshot (local: direct;
-    /// remote: chunked over the wire). `Ok(None)` when the backend
+    /// The member's complete state snapshot; `Ok(None)` when the backend
     /// cannot snapshot.
     ///
     /// # Errors
     ///
     /// [`ServeError::Transport`] for remote link failures.
-    pub fn snapshot_state(&self, s: usize) -> Result<Option<Vec<u8>>, ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(shard) => Ok(shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .snapshot_state()),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .fetch_snapshot(),
-        }
-    }
+    fn snapshot_state(&mut self) -> Result<Option<Vec<u8>>, ServeError>;
 
-    /// Restores member `s` from a snapshot (local: direct; remote:
-    /// chunked push, restored atomically daemon-side). Returns whether
+    /// Restores the member from a snapshot, atomically. Returns whether
     /// the restore succeeded.
     ///
     /// # Errors
     ///
     /// [`ServeError::Transport`] for remote link failures.
-    pub fn restore_state(&self, s: usize, snapshot: &[u8]) -> Result<bool, ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(shard) => Ok(shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .restore_state(snapshot)),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push_snapshot(snapshot),
-        }
-    }
+    fn restore_state(&mut self, snapshot: &[u8]) -> Result<bool, ServeError>;
 
-    /// Polls member `s`'s reliability-health counters.
+    /// The member's reliability-health counters.
     ///
     /// # Errors
     ///
     /// [`ServeError::Transport`] for remote link failures.
-    pub fn health(&self, s: usize) -> Result<ControllerHealth, ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(shard) => Ok(shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .health()),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .health(),
-        }
-    }
+    fn health(&mut self) -> Result<ControllerHealth, ServeError>;
 
-    /// Revives member `s` after a poisoning transport failure by
-    /// opening a **fresh replacement session** to the same address and
-    /// slot (the daemon constructs an empty shard there; the caller
-    /// restores state next). A no-op for local members — their state
-    /// never left the process.
+    /// Makes the member usable again after a poisoning transport
+    /// failure; the caller restores its state next. A no-op by default:
+    /// an in-process member's state never left the process.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Transport`] when the replacement connection fails —
-    /// the member stays poisoned and can be revived again later.
-    pub fn revive(&self, s: usize) -> Result<(), ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(_) => Ok(()),
-            PoolMember::Remote(remote) => {
-                let mut guard = remote
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let fresh = guard.reconnect_fresh()?;
-                telemetry::counter("serve.replica.revivals").inc();
-                **guard = fresh;
-                Ok(())
-            }
-        }
+    /// [`ServeError::Transport`] when the member cannot be revived — it
+    /// stays poisoned and can be revived again later.
+    fn revive(&mut self) -> Result<(), ServeError> {
+        Ok(())
     }
+}
+
+impl PoolMember for Shard {
+    fn data_rows(&self) -> Result<u64, ServeError> {
+        Ok(Shard::data_rows(self))
+    }
+
+    fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError> {
+        Ok(Shard::execute(self, ops, tick_s))
+    }
+
+    fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ServeError> {
+        Shard::read_local_row(self, row).map_err(|source| ServeError::Backend { source })
+    }
+
+    fn snapshot_state(&mut self) -> Result<Option<Vec<u8>>, ServeError> {
+        Ok(Shard::snapshot_state(self))
+    }
+
+    fn restore_state(&mut self, snapshot: &[u8]) -> Result<bool, ServeError> {
+        Ok(Shard::restore_state(self, snapshot))
+    }
+
+    fn health(&mut self) -> Result<ControllerHealth, ServeError> {
+        Ok(Shard::health(self))
+    }
+}
+
+impl PoolMember for RemoteShard {
+    fn data_rows(&self) -> Result<u64, ServeError> {
+        Ok(RemoteShard::data_rows(self))
+    }
+
+    fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError> {
+        RemoteShard::execute(self, ops, tick_s)
+    }
+
+    fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ServeError> {
+        RemoteShard::read_local_row(self, row)
+    }
+
+    fn snapshot_state(&mut self) -> Result<Option<Vec<u8>>, ServeError> {
+        self.fetch_snapshot()
+    }
+
+    fn restore_state(&mut self, snapshot: &[u8]) -> Result<bool, ServeError> {
+        self.push_snapshot(snapshot)
+    }
+
+    fn health(&mut self) -> Result<ControllerHealth, ServeError> {
+        RemoteShard::health(self)
+    }
+
+    /// Replaces this session with a **fresh** one to the same address
+    /// and slot (the daemon constructs an empty shard there), dropping
+    /// the old session only once the new one is up.
+    fn revive(&mut self) -> Result<(), ServeError> {
+        *self = self.reconnect_fresh()?;
+        telemetry::counter("serve.replica.revivals").inc();
+        Ok(())
+    }
+}
+
+/// Locks a pool member or a daemon's shard. A thread that panicked
+/// while holding the lock leaves the shard usable: the next call sees
+/// whatever state its backend kept.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Shared slot registry of one daemon: the shards it hosts, keyed by
@@ -868,17 +795,6 @@ impl ShardHost {
     }
 }
 
-/// Serves one client session against a **private** registry — the
-/// pre-multiplexing behaviour: the session's shard is built fresh from
-/// the Hello parameters and dropped when the session ends, so no client
-/// can observe another's rows. Kept for in-process tests that serve one
-/// session at a time; daemons use [`run_session_mux`] with a shared
-/// registry.
-pub fn run_session(stream: TcpStream) {
-    let registry: SlotRegistry = Arc::new(Mutex::new(HashMap::new()));
-    run_session_mux(stream, &registry);
-}
-
 /// Serves one client session: Hello → slot lookup/construction → batch
 /// loop. The daemon main loop runs one of these per connection, all
 /// sharing the daemon's [`SlotRegistry`].
@@ -922,9 +838,7 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
                 refuse(&mut writer);
                 return;
             }
-            let mut slots = registry
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut slots = lock(registry);
             if resume {
                 match slots.get(&slot) {
                     Some(existing) => Arc::clone(existing),
@@ -942,10 +856,7 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
         }
         _ => return,
     };
-    let data_rows = shard
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .data_rows();
+    let data_rows = lock(&shard).data_rows();
     let ack = Frame::HelloAck {
         version: WIRE_VERSION,
         data_rows,
@@ -963,30 +874,21 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
     loop {
         match Frame::read_from(&mut reader) {
             Ok(Frame::Batch { seq, tick_s, ops }) => {
-                let outcome = shard
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .execute(&ops, tick_s);
+                let outcome = lock(&shard).execute(&ops, tick_s);
                 let reply = Frame::BatchReply { seq, outcome };
                 if reply.write_to(&mut writer).is_err() {
                     return;
                 }
             }
             Ok(Frame::ReadRow { seq, row }) => {
-                let result = shard
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .read_local_row(row);
+                let result = lock(&shard).read_local_row(row);
                 let reply = Frame::ReadRowReply { seq, result };
                 if reply.write_to(&mut writer).is_err() {
                     return;
                 }
             }
             Ok(Frame::SnapshotPull { seq, offset, max_len }) => {
-                let snapshot = shard
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .snapshot_state();
+                let snapshot = lock(&shard).snapshot_state();
                 let reply = match snapshot {
                     None => Frame::SnapshotChunk {
                         seq,
@@ -1030,10 +932,7 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
                 } else {
                     push_buf.extend_from_slice(&data);
                     if push_buf.len() as u64 >= push_total {
-                        let restored = shard
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .restore_state(&push_buf);
+                        let restored = lock(&shard).restore_state(&push_buf);
                         push_buf = Vec::new();
                         push_total = 0;
                         restored
@@ -1047,10 +946,7 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
                 }
             }
             Ok(Frame::Health { seq }) => {
-                let h = shard
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .health();
+                let h = lock(&shard).health();
                 let reply = Frame::HealthReply {
                     seq,
                     uncorrectable_words: h.uncorrectable_words,
@@ -1133,6 +1029,7 @@ mod tests {
     use super::*;
     use felim_arch::batch::RowOpOutput;
     use felim_arch::geometry::RowId;
+    use felim_arch::ArchError;
 
     /// An in-process host serving `sessions` sessions on its own thread.
     fn host(sessions: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
@@ -1330,7 +1227,8 @@ mod tests {
     fn pool_mixes_local_and_remote_members_transparently() {
         let (addr, handle) = host(1);
         let geometry = MemoryGeometry::tiny();
-        let remote = RemoteShard::connect(
+        let mut local = Shard::new(Technology::Feram, geometry, None);
+        let mut remote = RemoteShard::connect(
             &addr.to_string(),
             Technology::Feram,
             geometry,
@@ -1338,15 +1236,8 @@ mod tests {
             ConnectRetry::default(),
         )
         .unwrap();
-        let pool = ShardPool::new(vec![
-            PoolMember::Local(Mutex::new(Shard::new(Technology::Feram, geometry, None))),
-            PoolMember::Remote(Mutex::new(Box::new(remote))),
-        ]);
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.remote_count(), 1);
-        assert!(!pool.is_remote(0));
-        assert!(pool.is_remote(1));
-        assert_eq!(pool.data_rows(0), pool.data_rows(1));
+        let (l, r): (&mut dyn PoolMember, &mut dyn PoolMember) = (&mut local, &mut remote);
+        assert_eq!(l.data_rows().unwrap(), r.data_rows().unwrap());
         let ops = vec![
             RowOp::Write {
                 row: RowId(0),
@@ -1354,14 +1245,37 @@ mod tests {
             },
             RowOp::Read { row: RowId(0) },
         ];
-        let a = pool.execute(0, &ops, 1e-3).unwrap();
-        let b = pool.execute(1, &ops, 1e-3).unwrap();
+        let a = l.execute(&ops, 1e-3).unwrap();
+        let b = r.execute(&ops, 1e-3).unwrap();
         assert_eq!(a, b, "local and remote members must agree bit-for-bit");
-        assert_eq!(
-            pool.read_local_row(0, 0).unwrap(),
-            pool.read_local_row(1, 0).unwrap()
+        assert_eq!(l.read_local_row(0).unwrap(), r.read_local_row(0).unwrap());
+
+        // A bad row fails with the same typed error on both sides of the link.
+        let beyond = 1 << 32;
+        let err = l.read_local_row(beyond).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServeError::Backend {
+                    source: ArchError::RowOutOfRange { .. }
+                }
+            ),
+            "{err:?}"
         );
-        drop(pool);
+        assert_eq!(r.read_local_row(beyond).unwrap_err(), err);
+
+        let snapshot = l.snapshot_state().unwrap();
+        assert!(snapshot.is_some());
+        assert_eq!(r.snapshot_state().unwrap(), snapshot);
+        assert!(matches!(
+            r.restore_state(snapshot.as_deref().unwrap()),
+            Ok(true)
+        ));
+        assert_eq!(l.health().unwrap(), r.health().unwrap());
+        assert!(l.revive().is_ok());
+        // Dropping the session itself sends Shutdown, which ends the
+        // host's session and lets its thread finish.
+        drop(remote);
         handle.join().unwrap();
     }
 

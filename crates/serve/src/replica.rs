@@ -2,11 +2,12 @@
 //!
 //! Every stripe of the vector catalog can be backed by a **primary plus
 //! N hot standbys** — any mix of local and remote
-//! [`ShardPool`](crate::ShardPool) members. The service dual-dispatches
-//! every settled [`RowOp`] batch schedule to the primary *and* its
-//! standbys; schedules are deterministic (same ops, same tick clock,
-//! same derived drift seed), so replicas stay **byte-identical by
-//! construction**. That claim is verified cheaply, not assumed: each
+//! [`PoolMember`](crate::PoolMember)s, which the service drives through
+//! that one trait without asking where a member lives. The service
+//! dual-dispatches every settled [`RowOp`] batch schedule to the primary
+//! *and* its standbys; schedules are deterministic (same ops, same tick
+//! clock, same derived drift seed), so replicas stay **byte-identical
+//! by construction**. That claim is verified cheaply, not assumed: each
 //! replica's batch outcomes fold into a rolling FNV-1a digest, and the
 //! digests are compared at epoch boundaries — a divergent standby is
 //! retired and rebuilt rather than trusted.
@@ -55,6 +56,7 @@ use crate::shard::ShardBatchOutcome;
 use crate::wire;
 use felim_arch::batch::RowOp;
 use felim_arch::ControllerHealth;
+use felim_exec::fnv1a_bytes;
 use serde::Serialize;
 
 /// Replication knobs, carried in
@@ -400,18 +402,6 @@ impl ReplicaManager {
             }
         }
     }
-}
-
-/// FNV-1a over raw bytes (the word-wise variant lives in
-/// [`request::fnv1a_words`](crate::fnv1a_words); outcomes digest as
-/// their canonical wire encoding, which is bytes).
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

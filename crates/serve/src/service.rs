@@ -38,7 +38,7 @@
 use crate::catalog::Catalog;
 use crate::dsl::Program;
 use crate::plan::KernelPlan;
-use crate::remote::{ConnectRetry, PoolMember, RemoteShard, ShardPool};
+use crate::remote::{lock, ConnectRetry, PoolMember, RemoteShard};
 use crate::replica::{ReplicaManager, ReplicaStats, ReplicationConfig};
 use crate::request::{
     fnv1a_words, LogicalOp, RequestId, ResponsePayload, ServeResponse, TenantId,
@@ -345,7 +345,9 @@ pub struct BulkService {
     config: ServiceConfig,
     map: ShardMap,
     catalog: Catalog,
-    shards: Arc<ShardPool>,
+    /// Pool members, replica-major (see `replicas`), each locked only
+    /// through [`lock`].
+    shards: Arc<[Mutex<Box<dyn PoolMember>>]>,
     pool: ExecPool,
     latency_model: LatencyModel,
     pending: VecDeque<PendingRequest>,
@@ -491,8 +493,9 @@ impl BulkService {
         // replica) member indices coincide with stripe indices and
         // nothing downstream changes.
         let replica_count = 1 + config.replication.as_ref().map_or(0, |r| r.standbys) as usize;
-        let mut members: Vec<PoolMember> =
+        let mut members: Vec<Mutex<Box<dyn PoolMember>>> =
             Vec::with_capacity(replica_count * config.shards as usize);
+        let mut remote_members = 0u32;
         for r in 0..replica_count {
             for i in 0..config.shards {
                 let tier = tier_config.clone().map(|(mut drift, period)| {
@@ -520,18 +523,15 @@ impl BulkService {
                             .map(|(_, _, a)| a)
                     })
                 };
-                let member = match addr {
-                    None => PoolMember::Local(Mutex::new(Shard::new(
-                        config.technology,
-                        config.shard_geometry,
-                        tier,
-                    ))),
+                let member: Box<dyn PoolMember> = match addr {
+                    None => Box::new(Shard::new(config.technology, config.shard_geometry, tier)),
                     Some(addr) => {
+                        remote_members += 1;
                         // The session slot is the member's pool index,
                         // so one daemon can host any mix of primaries
                         // and standbys.
                         let slot = (r * config.shards as usize + i as usize) as u64;
-                        RemoteShard::connect_slot(
+                        Box::new(RemoteShard::connect_slot(
                             addr,
                             config.technology,
                             config.shard_geometry,
@@ -539,22 +539,20 @@ impl BulkService {
                             config.connect_retry(),
                             slot,
                             false,
-                        )
-                        .map(|rs| PoolMember::Remote(Mutex::new(Box::new(rs))))?
+                        )?)
                     }
                 };
-                members.push(member);
+                members.push(Mutex::new(member));
             }
         }
-        let shards = ShardPool::new(members);
-        let data_rows = shards.data_rows(0);
-        for s in 1..replica_count * config.shards as usize {
-            if shards.data_rows(s) != data_rows {
+        let data_rows = lock(&members[0]).data_rows()?;
+        for (s, member) in members.iter().enumerate().skip(1) {
+            let rows = lock(member).data_rows()?;
+            if rows != data_rows {
                 return Err(ServeError::InvalidConfig {
                     message: format!(
-                        "pool member#{s} reports {} data rows, member#0 reports {data_rows} — \
-                         a remote host was built with different parameters",
-                        shards.data_rows(s)
+                        "pool member#{s} reports {rows} data rows, member#0 reports {data_rows} — \
+                         a remote host was built with different parameters"
                     ),
                 });
             }
@@ -573,7 +571,7 @@ impl BulkService {
         let map = ShardMap::new(config.shards, data_rows).expect("non-zero shards and rows");
         let catalog = Catalog::new(config.shards, scratch_base);
         telemetry::gauge("serve.shards").set(f64::from(config.shards));
-        telemetry::gauge("serve.remote.shards").set(shards.remote_count() as f64);
+        telemetry::gauge("serve.remote.shards").set(f64::from(remote_members));
         telemetry::gauge("serve.replica.standbys")
             .set((replica_count - 1) as f64 * f64::from(config.shards));
         let replicas = config
@@ -583,7 +581,7 @@ impl BulkService {
         Ok(Self {
             catalog,
             map,
-            shards: Arc::new(shards),
+            shards: members.into(),
             pool: ExecPool::with_env_threads(),
             latency_model: LatencyModel::paper_default(),
             pending: VecDeque::new(),
@@ -930,7 +928,7 @@ impl BulkService {
         let raw: Vec<Result<ShardBatchOutcome, ServeError>> = self.pool.map(
             &work,
             Arc::new(move |_i: usize, (s, r, ops): &(usize, usize, Vec<RowOp>)| {
-                shards.execute(r * stripes + s, ops, tick_s)
+                lock(&shards[r * stripes + s]).execute(ops, tick_s)
             }),
         );
         let outcomes = self.reduce_outcomes(&work, raw);
@@ -1068,7 +1066,8 @@ impl BulkService {
                     telemetry::counter("serve.replica.divergences").inc();
                 }
                 let member = mgr.active_member(s);
-                if let Ok(health) = self.shards.health(member) {
+                let health = lock(&self.shards[member]).health();
+                if let Ok(health) = health {
                     let mgr = self.replicas.as_mut().expect("caller checked");
                     if mgr.health_exceeded(&health) && mgr.promote_planned(s).is_some() {
                         telemetry::counter("serve.replica.planned_failovers").inc();
@@ -1092,15 +1091,13 @@ impl BulkService {
                 // A remote member's session may have died with the
                 // fault that retired it — revive opens a fresh session
                 // at the same slot before the snapshot lands.
-                let mut ok = self.shards.revive(member).is_ok()
-                    && self
-                        .shards
-                        .restore_state(member, &snapshot)
-                        .unwrap_or(false);
+                let mut member = lock(&self.shards[member]);
+                let mut ok =
+                    member.revive().is_ok() && member.restore_state(&snapshot).unwrap_or(false);
                 let mut replayed = 0;
                 if ok {
                     for (tick_s, ops) in &pending {
-                        if self.shards.execute(member, ops, *tick_s).is_err() {
+                        if member.execute(ops, *tick_s).is_err() {
                             ok = false;
                             break;
                         }
@@ -1118,7 +1115,8 @@ impl BulkService {
             // Snapshot the new active *after* the tick settled, so the
             // schedule log starts exactly at the snapshot's state. An
             // unavailable snapshot (transport hiccup) retries next tick.
-            if let Ok(Some(snapshot)) = self.shards.snapshot_state(active) {
+            let snapshot = lock(&self.shards[active]).snapshot_state();
+            if let Ok(Some(snapshot)) = snapshot {
                 let mgr = self.replicas.as_mut().expect("caller checked");
                 mgr.begin_rebuild(s, replica, snapshot);
                 telemetry::counter("serve.replica.rebuilds_started").inc();
@@ -1174,7 +1172,7 @@ impl BulkService {
                 .replicas
                 .as_ref()
                 .map_or(shard.0 as usize, |m| m.active_member(shard.0 as usize));
-            let data = self.shards.read_local_row(member, local.0)?;
+            let data = lock(&self.shards[member]).read_local_row(local.0)?;
             rows.push(data);
         }
         Ok(rows)

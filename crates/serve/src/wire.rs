@@ -41,6 +41,10 @@ use crate::shard::{ShardBatchOutcome, Technology};
 use felim_arch::batch::{RowOp, RowOpOutput};
 use felim_arch::drift::DriftSpec;
 use felim_arch::geometry::MemoryGeometry;
+use felim_arch::snapshot::{
+    put_bytes, put_f64, put_u32, put_u64, put_words, take_bytes, take_f64, take_u32, take_u64,
+    take_words,
+};
 use felim_arch::ArchError;
 use serde::Serialize;
 use std::io::{Read, Write};
@@ -298,73 +302,6 @@ pub enum Frame {
         /// Worst per-row wear fraction across drift-tracked rows.
         max_wear_fraction: f64,
     },
-}
-
-// ---- body primitives (all little-endian; f64 as IEEE-754 bits) ----
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn take_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    let bytes = buf.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_le_bytes(bytes.try_into().ok()?))
-}
-
-fn take_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let bytes = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes(bytes.try_into().ok()?))
-}
-
-fn take_f64(buf: &[u8], pos: &mut usize) -> Option<f64> {
-    take_u64(buf, pos).map(f64::from_bits)
-}
-
-fn put_words(out: &mut Vec<u8>, words: &[u64]) {
-    put_u64(out, words.len() as u64);
-    for &w in words {
-        put_u64(out, w);
-    }
-}
-
-fn take_words(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
-    let count = take_u64(buf, pos)?;
-    // A corrupt count must not drive allocation: every word needs 8
-    // bytes that must actually be present.
-    if count > ((buf.len() - *pos) / 8) as u64 {
-        return None;
-    }
-    let mut words = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        words.push(take_u64(buf, pos)?);
-    }
-    Some(words)
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-fn take_bytes(buf: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
-    let count = take_u64(buf, pos)?;
-    // Same allocation guard as take_words: the bytes must be present.
-    if count > (buf.len() - *pos) as u64 {
-        return None;
-    }
-    let bytes = buf[*pos..*pos + count as usize].to_vec();
-    *pos += count as usize;
-    Some(bytes)
 }
 
 fn put_technology(out: &mut Vec<u8>, t: Technology) {
