@@ -41,7 +41,6 @@ impl DramBackend {
     /// Creates a backend over the given geometry with the paper's energy
     /// and latency constants.
     pub fn new(geometry: MemoryGeometry) -> Self {
-        let mut store = RowStore::new(geometry);
         let mut backend = Self {
             geometry,
             energy: EnergyModel::dram(),
@@ -53,13 +52,9 @@ impl DramBackend {
             clock: MakespanClock::per_subarray(&geometry),
         };
         // Control rows hold their constants from initialisation on.
-        store
-            .fill(backend.c0(), 0)
-            .expect("control row C0 in range");
-        store
-            .fill(backend.c1(), !0)
-            .expect("control row C1 in range");
-        backend.store = store;
+        let (c0, c1) = (backend.c0(), backend.c1());
+        backend.store.fill(c0, 0).expect("control row C0 in range");
+        backend.store.fill(c1, !0).expect("control row C1 in range");
         backend
     }
 

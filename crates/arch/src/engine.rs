@@ -11,13 +11,22 @@ use crate::ArchError;
 use std::collections::HashMap;
 
 /// Lazily-materialised storage for full memory rows.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RowStore {
     geometry: MemoryGeometry,
     rows: HashMap<u64, Vec<u64>>,
+    /// One row of zeros, read in place of every unmaterialised row.
+    zero: Vec<u64>,
     /// Reusable row buffer for the combine/map operations, so the
     /// per-command hot path performs no heap allocation in steady state.
     scratch: Vec<u64>,
+}
+
+impl Default for RowStore {
+    /// An empty store over the default geometry.
+    fn default() -> Self {
+        Self::new(MemoryGeometry::default())
+    }
 }
 
 impl RowStore {
@@ -31,6 +40,7 @@ impl RowStore {
         Self {
             geometry,
             rows: HashMap::new(),
+            zero: vec![0; geometry.row_words()],
             scratch: Vec::new(),
         }
     }
@@ -43,6 +53,12 @@ impl RowStore {
     /// Number of rows ever touched (materialised).
     pub fn touched_rows(&self) -> u64 {
         self.rows.len() as u64
+    }
+
+    /// A row's words: the stored row, or the zero row if it was never
+    /// materialised.
+    fn operand(&self, row: RowId) -> &[u64] {
+        self.rows.get(&row.0).map_or(&self.zero, Vec::as_slice)
     }
 
     fn check_in_range(&self, row: RowId) -> Result<(), ArchError> {
@@ -63,11 +79,7 @@ impl RowStore {
     /// [`ArchError::RowOutOfRange`] for rows outside the geometry.
     pub fn read(&self, row: RowId) -> Result<Vec<u64>, ArchError> {
         self.check_in_range(row)?;
-        Ok(self
-            .rows
-            .get(&row.0)
-            .cloned()
-            .unwrap_or_else(|| vec![0; self.geometry.row_words()]))
+        Ok(self.operand(row).to_vec())
     }
 
     /// Borrows a row's words without copying; `None` if the row was
@@ -90,10 +102,7 @@ impl RowStore {
     pub fn read_into(&self, row: RowId, out: &mut Vec<u64>) -> Result<(), ArchError> {
         self.check_in_range(row)?;
         out.clear();
-        match self.rows.get(&row.0) {
-            Some(r) => out.extend_from_slice(r),
-            None => out.resize(self.geometry.row_words(), 0),
-        }
+        out.extend_from_slice(self.operand(row));
         Ok(())
     }
 
@@ -123,8 +132,9 @@ impl RowStore {
         Ok(())
     }
 
-    /// Copies one row onto another without an intermediate allocation in
-    /// steady state (the destination's existing buffer is reused).
+    /// Copies one row onto another, in place when the destination is
+    /// materialised. The destination is always materialised afterwards;
+    /// an unmaterialised source copies zeros.
     ///
     /// # Errors
     ///
@@ -132,51 +142,20 @@ impl RowStore {
     pub fn copy_row(&mut self, src: RowId, dst: RowId) -> Result<(), ArchError> {
         self.check_in_range(src)?;
         self.check_in_range(dst)?;
-        let words = self.geometry.row_words();
         if src.0 == dst.0 {
-            self.rows.entry(dst.0).or_insert_with(|| vec![0; words]);
+            // `get_disjoint_mut` panics on equal keys.
+            self.rows.entry(dst.0).or_insert_with(|| self.zero.clone());
             return Ok(());
         }
-        let mut buf = self.rows.remove(&dst.0).unwrap_or_default();
-        buf.clear();
-        match self.rows.get(&src.0) {
-            Some(s) => buf.extend_from_slice(s),
-            None => buf.resize(words, 0),
+        match self.rows.get_disjoint_mut([&src.0, &dst.0]) {
+            [Some(s), Some(d)] => d.copy_from_slice(s),
+            [None, Some(d)] => d.fill(0),
+            [s, None] => {
+                let row = s.map_or_else(|| self.zero.clone(), |s| s.clone());
+                self.rows.insert(dst.0, row);
+            }
         }
-        self.rows.insert(dst.0, buf);
         Ok(())
-    }
-
-    /// `dst[i] = f(a[i], b[i])` across the whole row.
-    ///
-    /// # Errors
-    ///
-    /// As for [`RowStore::read`] / [`RowStore::write`].
-    pub fn combine(
-        &mut self,
-        a: RowId,
-        b: RowId,
-        dst: RowId,
-        f: impl Fn(u64, u64) -> u64,
-    ) -> Result<(), ArchError> {
-        self.check_in_range(a)?;
-        self.check_in_range(b)?;
-        let words = self.geometry.row_words();
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        {
-            let ra = self.rows.get(&a.0);
-            let rb = self.rows.get(&b.0);
-            out.extend((0..words).map(|i| {
-                f(
-                    ra.map_or(0, |r| r[i]),
-                    rb.map_or(0, |r| r[i]),
-                )
-            }));
-        }
-        let result = self.write(dst, &out);
-        self.scratch = out;
-        result
     }
 
     /// `dst[i] = f(src[i])` across the whole row.
@@ -184,20 +163,11 @@ impl RowStore {
     /// # Errors
     ///
     /// As for [`RowStore::read`] / [`RowStore::write`].
-    pub fn map(
-        &mut self,
-        src: RowId,
-        dst: RowId,
-        f: impl Fn(u64) -> u64,
-    ) -> Result<(), ArchError> {
+    pub fn map(&mut self, src: RowId, dst: RowId, f: impl Fn(u64) -> u64) -> Result<(), ArchError> {
         self.check_in_range(src)?;
-        let words = self.geometry.row_words();
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
-        {
-            let r = self.rows.get(&src.0);
-            out.extend((0..words).map(|i| f(r.map_or(0, |r| r[i]))));
-        }
+        out.extend(self.operand(src).iter().map(|&x| f(x)));
         let result = self.write(dst, &out);
         self.scratch = out;
         result
@@ -218,11 +188,9 @@ impl RowStore {
     ) -> Result<(), ArchError> {
         self.check_in_range(a)?;
         self.check_in_range(b)?;
-        let words = self.geometry.row_words();
-        let ra = self.rows.get(&a.0);
-        let rb = self.rows.get(&b.0);
+        let (ra, rb) = (self.operand(a), self.operand(b));
         out.clear();
-        out.extend((0..words).map(|i| f(ra.map_or(0, |r| r[i]), rb.map_or(0, |r| r[i]))));
+        out.extend(ra.iter().zip(rb).map(|(&x, &y)| f(x, y)));
         Ok(())
     }
 
@@ -244,18 +212,9 @@ impl RowStore {
         self.check_in_range(a)?;
         self.check_in_range(b)?;
         self.check_in_range(c)?;
-        let words = self.geometry.row_words();
-        let ra = self.rows.get(&a.0);
-        let rb = self.rows.get(&b.0);
-        let rc = self.rows.get(&c.0);
+        let (ra, rb, rc) = (self.operand(a), self.operand(b), self.operand(c));
         out.clear();
-        out.extend((0..words).map(|i| {
-            f(
-                ra.map_or(0, |r| r[i]),
-                rb.map_or(0, |r| r[i]),
-                rc.map_or(0, |r| r[i]),
-            )
-        }));
+        out.extend(ra.iter().zip(rb).zip(rc).map(|((&x, &y), &z)| f(x, y, z)));
         Ok(())
     }
 
@@ -369,7 +328,10 @@ mod tests {
         let mut s = store();
         s.fill(RowId(0), 0b1100).unwrap();
         s.fill(RowId(1), 0b1010).unwrap();
-        s.combine(RowId(0), RowId(1), RowId(2), |a, b| a & b).unwrap();
+        let mut and = Vec::new();
+        s.combine2_into(RowId(0), RowId(1), &mut and, |a, b| a & b)
+            .unwrap();
+        s.write(RowId(2), &and).unwrap();
         assert_eq!(s.read(RowId(2)).unwrap()[0], 0b1000);
         s.map(RowId(2), RowId(3), |x| !x).unwrap();
         assert_eq!(s.read(RowId(3)).unwrap()[0], !0b1000u64);

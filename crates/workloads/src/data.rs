@@ -21,7 +21,9 @@ use std::sync::{Mutex, OnceLock};
 /// memoization: on a hit the generator fast-forwards to the recorded
 /// state and the returned row is bit-identical to a fresh generation.
 /// Values depend only on their key, so the cache is deterministic under
-/// any thread interleaving.
+/// any thread interleaving. A full cache is cleared before the next
+/// insert, so rows from the latest evaluations stay memoised however
+/// many came before; a miss only costs the regeneration.
 type SparseKey = ([u64; 4], u64, usize);
 
 struct CachedSparseRow {
@@ -30,7 +32,8 @@ struct CachedSparseRow {
 }
 
 /// Bound on distinct cached rows (8 KiB each at bench width) so a long
-/// exploratory run cannot grow the cache without limit.
+/// exploratory run cannot grow the cache without limit: an insert into a
+/// full cache clears it first.
 const SPARSE_CACHE_CAP: usize = 4096;
 
 fn sparse_cache() -> &'static Mutex<HashMap<SparseKey, CachedSparseRow>> {
@@ -108,15 +111,16 @@ impl DataGen {
         let mut cache = sparse_cache()
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if cache.len() < SPARSE_CACHE_CAP {
-            cache.insert(
-                key,
-                CachedSparseRow {
-                    bits: row.clone(),
-                    state_after: self.rng.state(),
-                },
-            );
+        if cache.len() >= SPARSE_CACHE_CAP {
+            cache.clear();
         }
+        cache.insert(
+            key,
+            CachedSparseRow {
+                bits: row.clone(),
+                state_after: self.rng.state(),
+            },
+        );
         row
     }
 
@@ -177,6 +181,37 @@ mod tests {
         // Different density at the same state is a different key.
         let mut c = DataGen::new(99, 32);
         assert_ne!(c.sparse_row(0.9), r1);
+    }
+
+    #[test]
+    fn sparse_replay_cache_keeps_memoising_once_full() {
+        // More distinct one-word rows than the cap, on seeds and a
+        // density no other test uses; the cache never exceeds the cap.
+        const DENSITY: f64 = 0.37;
+        let cached = || {
+            sparse_cache()
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .len()
+        };
+        for seed in 0..SPARSE_CACHE_CAP as u64 + 64 {
+            DataGen::new(0x5A7_0000 + seed, 1).sparse_row(DENSITY);
+            assert!(cached() <= SPARSE_CACHE_CAP);
+        }
+        // A fresh seed's row is still memoised, and replaying it gives
+        // the same bits and the same generator state afterwards.
+        let seed = 0x5A7_0000 + SPARSE_CACHE_CAP as u64 + 64;
+        let mut a = DataGen::new(seed, 1);
+        let key = (a.rng.state(), DENSITY.to_bits(), 1);
+        let r1 = a.sparse_row(DENSITY);
+        assert!(sparse_cache()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .contains_key(&key));
+        let mut b = DataGen::new(seed, 1);
+        assert_eq!(b.sparse_row(DENSITY), r1);
+        assert_eq!(b.word(), a.word());
+        assert!(cached() <= SPARSE_CACHE_CAP);
     }
 
     #[test]
