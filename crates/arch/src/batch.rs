@@ -33,7 +33,7 @@
 //! ```
 
 use crate::geometry::RowId;
-use crate::snapshot::{put_u64, put_words, take_u64, take_words};
+use crate::snapshot::{put_u64, put_words, take_run, take_u64, take_words};
 use crate::{ArchError, BulkBackend};
 use felim_telemetry::CachedCounter;
 use serde::Serialize;
@@ -364,13 +364,8 @@ impl ArchError {
             },
             4 => {
                 let row = take_u64(buf, pos)?;
-                let n = take_u64(buf, pos)?;
-                if (buf.len() - *pos) as u64 / 8 < n {
-                    return None;
-                }
-                let words = (0..n)
-                    .map(|_| take_u64(buf, pos).map(|w| w as usize))
-                    .collect::<Option<Vec<usize>>>()?;
+                let words =
+                    take_run(buf, pos, 8, |buf, pos| take_u64(buf, pos).map(|w| w as usize))?;
                 ArchError::Uncorrectable { row, words }
             }
             _ => return None,

@@ -257,6 +257,51 @@ impl<B: BulkBackend> ReliabilityController<B> {
         self.scrubber.as_ref()
     }
 
+    /// Restores from a [`snapshot_state`](BulkBackend::snapshot_state)
+    /// buffer. `None` on malformed input or a configuration that differs
+    /// from this controller's, with the controller unchanged: every part
+    /// is decoded into temporaries, and the wrapped backend (which
+    /// restores atomically itself) is restored before any is committed.
+    fn try_restore(&mut self, buf: &[u8]) -> Option<()> {
+        use crate::snapshot::{take_bool, take_bytes, take_run, take_u64, take_u8};
+        let mut pos = 0usize;
+        if take_u8(buf, &mut pos)? != 2 || take_bool(buf, &mut pos)? != self.config.ecc {
+            return None;
+        }
+        let geometry = *self.inner.geometry();
+        let mut drift = self.drift.clone();
+        drift.restore_state(buf, &mut pos)?;
+        if !drift.tracked_rows().into_iter().all(|row| geometry.contains(row)) {
+            return None;
+        }
+        let scrubber = match (take_bool(buf, &mut pos)?, self.scrubber.clone()) {
+            (true, Some(mut s)) => {
+                s.restore_state(buf, &mut pos)?;
+                Some(s)
+            }
+            (false, None) => None,
+            _ => return None,
+        };
+        // One SECDED check byte per 64-bit word; every entry is at least
+        // a row key and a length prefix.
+        let codes = take_run(buf, &mut pos, 16, |buf, pos| {
+            let row = take_u64(buf, pos)?;
+            let checks = take_bytes(buf, pos)?;
+            (geometry.contains(RowId(row)) && checks.len() == geometry.row_words())
+                .then(|| (row, RowCode::from_checks(checks)))
+        })?;
+        let stats = ControllerStats::decode_state(buf, &mut pos)?;
+        let inner = take_bytes(buf, &mut pos)?;
+        if pos != buf.len() || !self.inner.restore_state(&inner) {
+            return None;
+        }
+        self.drift = drift;
+        self.scrubber = scrubber;
+        self.codes = codes;
+        self.stats = stats;
+        Some(())
+    }
+
     /// Re-encodes the side-band for a row that now holds fresh data and
     /// restarts its drift clocks.
     fn protect(&mut self, row: RowId) -> Result<(), ArchError> {
@@ -480,10 +525,10 @@ impl<B: BulkBackend> BulkBackend for ReliabilityController<B> {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        use crate::snapshot::{put_bool, put_bytes, put_u64, put_u8};
+        use crate::snapshot::{put_bool, put_bytes, put_map, put_u64, put_u8};
         let inner = self.inner.snapshot_state()?;
         let mut out = Vec::new();
-        put_u8(&mut out, 1); // controller snapshot version
+        put_u8(&mut out, 2); // controller snapshot version
         put_bool(&mut out, self.config.ecc);
         self.drift.encode_state(&mut out);
         match self.scrubber.as_ref() {
@@ -493,91 +538,17 @@ impl<B: BulkBackend> BulkBackend for ReliabilityController<B> {
             }
             None => put_bool(&mut out, false),
         }
-        let mut rows: Vec<u64> = self.codes.keys().copied().collect();
-        rows.sort_unstable();
-        put_u64(&mut out, rows.len() as u64);
-        for row in rows {
-            put_u64(&mut out, row);
-            put_bytes(&mut out, self.codes[&row].checks());
-        }
+        put_map(&mut out, &self.codes, |out, row, code| {
+            put_u64(out, row);
+            put_bytes(out, code.checks());
+        });
         self.stats.encode_state(&mut out);
         put_bytes(&mut out, &inner);
         Some(out)
     }
 
     fn restore_state(&mut self, snapshot: &[u8]) -> bool {
-        use crate::snapshot::{take_bool, take_bytes, take_u64, take_u8};
-        let buf = snapshot;
-        let mut pos = 0usize;
-        // Decode everything into temporaries first so a malformed
-        // snapshot leaves this controller untouched.
-        let Some(1) = take_u8(buf, &mut pos) else {
-            return false;
-        };
-        if take_bool(buf, &mut pos) != Some(self.config.ecc) {
-            return false;
-        }
-        let mut drift = self.drift.clone();
-        if drift.restore_state(buf, &mut pos).is_none() {
-            return false;
-        }
-        let scrubber = match take_bool(buf, &mut pos) {
-            Some(true) => {
-                let Some(mut s) = self.scrubber.clone() else {
-                    return false;
-                };
-                if s.restore_state(buf, &mut pos).is_none() {
-                    return false;
-                }
-                Some(s)
-            }
-            Some(false) => {
-                if self.scrubber.is_some() {
-                    return false;
-                }
-                None
-            }
-            None => return false,
-        };
-        let Some(n_codes) = take_u64(buf, &mut pos) else {
-            return false;
-        };
-        // Each code entry needs at least a row key and a length prefix.
-        if ((buf.len() - pos) as u64) / 16 < n_codes {
-            return false;
-        }
-        let mut codes = HashMap::with_capacity(n_codes as usize);
-        // One SECDED check byte per 64-bit word.
-        let check_bytes = self.inner.geometry().row_words();
-        for _ in 0..n_codes {
-            let Some(row) = take_u64(buf, &mut pos) else {
-                return false;
-            };
-            let Some(checks) = take_bytes(buf, &mut pos) else {
-                return false;
-            };
-            if checks.len() != check_bytes {
-                return false;
-            }
-            codes.insert(row, RowCode::from_checks(checks));
-        }
-        let Some(stats) = ControllerStats::decode_state(buf, &mut pos) else {
-            return false;
-        };
-        let Some(inner_bytes) = take_bytes(buf, &mut pos) else {
-            return false;
-        };
-        if pos != buf.len() {
-            return false;
-        }
-        if !self.inner.restore_state(&inner_bytes) {
-            return false;
-        }
-        self.drift = drift;
-        self.scrubber = scrubber;
-        self.codes = codes;
-        self.stats = stats;
-        true
+        self.try_restore(snapshot).is_some()
     }
 
     fn take_batch_cycles(&mut self) -> (u64, u64) {

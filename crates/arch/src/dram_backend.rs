@@ -58,6 +58,33 @@ impl DramBackend {
         backend
     }
 
+    /// Decodes a [`snapshot_state`](BulkBackend::snapshot_state) buffer
+    /// into a fresh backend with this one's configuration, or `None` on
+    /// malformed input or another geometry. The command log (if kept) and
+    /// the batch clock restart empty.
+    fn decode_snapshot(&self, buf: &[u8]) -> Option<Self> {
+        use crate::snapshot::{take_bool, take_u64, take_u8};
+        let mut pos = 0usize;
+        let header_ok = take_u8(buf, &mut pos)? == 1
+            && take_u64(buf, &mut pos)? == self.geometry.total_rows()
+            && take_u64(buf, &mut pos)? == self.geometry.row_words() as u64;
+        if !header_ok {
+            return None;
+        }
+        let pos = &mut pos;
+        let restored = Self {
+            geometry: self.geometry,
+            store: RowStore::decode_state(self.geometry, buf, pos)?,
+            energy: self.energy,
+            latency: self.latency,
+            stats: ExecStats::decode_state(buf, pos)?,
+            refreshed: take_bool(buf, pos)?,
+            command_log: self.command_log.as_ref().map(|_| Vec::new()),
+            clock: MakespanClock::per_subarray(&self.geometry),
+        };
+        (*pos == buf.len()).then_some(restored)
+    }
+
     /// The paper's 8 GB configuration.
     pub fn default_8gb() -> Self {
         Self::new(MemoryGeometry::paper_8gb())
@@ -321,37 +348,10 @@ impl BulkBackend for DramBackend {
     }
 
     fn restore_state(&mut self, snapshot: &[u8]) -> bool {
-        use crate::snapshot::{take_bool, take_u64, take_u8};
-        let buf = snapshot;
-        let mut pos = 0usize;
-        let Some(1) = take_u8(buf, &mut pos) else {
+        let Some(restored) = self.decode_snapshot(snapshot) else {
             return false;
         };
-        if take_u64(buf, &mut pos) != Some(self.geometry.total_rows())
-            || take_u64(buf, &mut pos) != Some(self.geometry.row_words() as u64)
-        {
-            return false;
-        }
-        let mut store = self.store.clone();
-        if store.restore_state(buf, &mut pos).is_none() {
-            return false;
-        }
-        let Some(stats) = ExecStats::decode_state(buf, &mut pos) else {
-            return false;
-        };
-        let Some(refreshed) = take_bool(buf, &mut pos) else {
-            return false;
-        };
-        if pos != buf.len() {
-            return false;
-        }
-        self.store = store;
-        self.stats = stats;
-        self.refreshed = refreshed;
-        if let Some(log) = self.command_log.as_mut() {
-            log.clear();
-        }
-        self.clock.reset();
+        *self = restored;
         true
     }
 

@@ -134,16 +134,14 @@ struct RowDrift {
 /// (they now hold data that can decay); [`DriftProcess::tick`] advances
 /// the clock, and [`DriftProcess::sample_row`] draws each tracked row's
 /// XOR upset mask for the elapsed interval.
+///
+/// A state snapshot carries the flip sampler's full generator state
+/// (four words), so a restore resumes the stream exactly where the
+/// snapshotted process left it, in constant time.
 #[derive(Debug, Clone)]
 pub struct DriftProcess {
     spec: DriftSpec,
     rng: StdRng,
-    /// Bernoulli draws consumed from `rng` so far. The RNG itself cannot
-    /// be serialised, but the stream is pure `seed → draws`, so a state
-    /// snapshot stores this count and a restore replays it: reseed, then
-    /// discard exactly this many draws. Every RNG consumption MUST go
-    /// through [`DriftProcess::bernoulli`] to keep the count exact.
-    draws: u64,
     now_s: f64,
     rows: HashMap<u64, RowDrift>,
     ticks: u64,
@@ -170,7 +168,6 @@ impl DriftProcess {
         Self {
             spec,
             rng,
-            draws: 0,
             now_s: 0.0,
             rows: HashMap::new(),
             ticks: 0,
@@ -178,16 +175,12 @@ impl DriftProcess {
         }
     }
 
-    /// One counted Bernoulli draw. Mirrors `Rng::gen_bool` exactly:
-    /// `p >= 1` is certainly true *without* consuming the stream (the
-    /// `Bernoulli` always-true fast path), anything else costs one
-    /// 64-bit draw.
+    /// One Bernoulli draw: `p >= 1` is certainly true *without*
+    /// consuming the stream (the `Bernoulli` always-true fast path, which
+    /// fixes the stream every drift mask is drawn from), anything else
+    /// costs one 64-bit draw.
     fn bernoulli(&mut self, p: f64) -> bool {
-        if p >= 1.0 {
-            return true;
-        }
-        self.draws += 1;
-        self.rng.gen_bool(p)
+        p >= 1.0 || self.rng.gen_bool(p)
     }
 
     /// The spec in force.
@@ -325,64 +318,60 @@ impl DriftProcess {
         Some(mask)
     }
 
-    /// Appends the full process state (clock, counters, per-row
-    /// bookkeeping sorted by row, and the RNG draw count) to a state
-    /// snapshot. The spec seed travels for validation; the restored
-    /// process must have been built from the same spec.
+    /// Appends the full process state to a state snapshot: the spec
+    /// seed (for validation; the restored process must have been built
+    /// from the same spec), the sampler's generator state (4 × u64), the
+    /// clock and counters, then per-row bookkeeping sorted by row.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
-        use crate::snapshot::{put_f64, put_u64};
+        use crate::snapshot::{put_f64, put_map, put_u64};
         put_u64(out, self.spec.seed);
-        put_u64(out, self.draws);
+        for word in self.rng.state() {
+            put_u64(out, word);
+        }
         put_f64(out, self.now_s);
         put_u64(out, self.ticks);
         put_u64(out, self.flips_injected);
-        let mut keys: Vec<u64> = self.rows.keys().copied().collect();
-        keys.sort_unstable();
-        put_u64(out, keys.len() as u64);
-        for k in keys {
-            let state = &self.rows[&k];
+        put_map(out, &self.rows, |out, k, state| {
             put_u64(out, k);
             put_f64(out, state.last_write_s);
             put_u64(out, state.reads_since_write);
             put_u64(out, state.reads_charged);
-        }
+        });
     }
 
-    /// Restores state written by [`DriftProcess::encode_state`]: the RNG
-    /// is reseeded from the spec and fast-forwarded by the recorded draw
-    /// count, so subsequent [`DriftProcess::sample_row`] calls produce
-    /// masks bit-identical to the snapshotted process's. `None` (process
-    /// unchanged) on malformed input or a seed mismatch.
+    /// Restores state written by [`DriftProcess::encode_state`]: the
+    /// sampler resumes from the recorded generator state, so subsequent
+    /// [`DriftProcess::sample_row`] calls produce masks bit-identical to
+    /// the snapshotted process's. `None` (process unchanged) on malformed
+    /// input, a seed mismatch, or the all-zero generator state (which no
+    /// seeded stream reaches, and which would only ever emit zeros).
     pub fn restore_state(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
-        use crate::snapshot::{take_f64, take_u64};
+        use crate::snapshot::{take_f64, take_run, take_u64};
         let mut probe = *pos;
         if take_u64(buf, &mut probe)? != self.spec.seed {
             return None;
         }
-        let draws = take_u64(buf, &mut probe)?;
+        let mut state = [0u64; 4];
+        for word in &mut state {
+            *word = take_u64(buf, &mut probe)?;
+        }
+        if state == [0; 4] {
+            return None;
+        }
         let now_s = take_f64(buf, &mut probe)?;
         let ticks = take_u64(buf, &mut probe)?;
         let flips_injected = take_u64(buf, &mut probe)?;
-        let n = take_u64(buf, &mut probe)?;
-        if ((buf.len() - probe) as u64) / 32 < n {
-            return None;
-        }
-        let mut rows = HashMap::with_capacity(n as usize);
-        for _ in 0..n {
-            let key = take_u64(buf, &mut probe)?;
+        let rows = take_run(buf, &mut probe, 32, |buf, pos| {
+            let key = take_u64(buf, pos)?;
             let state = RowDrift {
-                last_write_s: take_f64(buf, &mut probe)?,
-                reads_since_write: take_u64(buf, &mut probe)?,
-                reads_charged: take_u64(buf, &mut probe)?,
+                last_write_s: take_f64(buf, pos)?,
+                reads_since_write: take_u64(buf, pos)?,
+                reads_charged: take_u64(buf, pos)?,
             };
-            rows.insert(key, state);
-        }
-        let mut rng = StdRng::seed_from_u64(self.spec.seed);
-        for _ in 0..draws {
-            let _: u64 = rng.gen();
-        }
-        self.rng = rng;
-        self.draws = draws;
+            // Charged reads are a prefix of the reads since the write.
+            (state.reads_charged <= state.reads_since_write).then_some((key, state))
+        })?;
+        self.rng = StdRng::from_state(state);
         self.now_s = now_s;
         self.ticks = ticks;
         self.flips_injected = flips_injected;
@@ -558,5 +547,36 @@ mod tests {
         let mut pos = 0;
         assert!(wrong.restore_state(&snap, &mut pos).is_none());
         assert_eq!(pos, 0);
+    }
+
+    #[test]
+    fn restore_resumes_the_generator_and_refuses_the_zero_state() {
+        let mut original = DriftProcess::new(hot(33));
+        original.note_write(RowId(2));
+        for _ in 0..4 {
+            original.tick(3600.0);
+            let _ = original.sample_row(RowId(2), 16, 3600.0, 0.0);
+        }
+        let mut snap = Vec::new();
+        original.encode_state(&mut snap);
+        let mut restored = DriftProcess::new(hot(33));
+        restored.restore_state(&snap, &mut 0).expect("restore");
+        let mut flipped = false;
+        for _ in 0..4 {
+            original.tick(3600.0);
+            restored.tick(3600.0);
+            let mask = original.sample_row(RowId(2), 16, 3600.0, 0.0);
+            assert_eq!(mask, restored.sample_row(RowId(2), 16, 3600.0, 0.0));
+            flipped |= mask.is_some();
+        }
+        assert!(flipped, "the compared masks must not all be empty");
+
+        // The generator state follows the 8-byte seed; all-zero is not
+        // a state any seed reaches, so it is refused untouched.
+        snap[8..40].fill(0);
+        let mut target = DriftProcess::new(hot(33));
+        let mut pos = 0;
+        assert!(target.restore_state(&snap, &mut pos).is_none());
+        assert_eq!((pos, target.ticks()), (0, 0));
     }
 }

@@ -257,35 +257,33 @@ impl RowStore {
     /// Appends every materialised row (sorted by address, so the
     /// encoding is deterministic) to a state snapshot.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
-        use crate::snapshot::{put_u64, put_words};
-        let mut keys: Vec<u64> = self.rows.keys().copied().collect();
-        keys.sort_unstable();
-        put_u64(out, keys.len() as u64);
-        for k in keys {
+        use crate::snapshot::{put_map, put_u64, put_words};
+        put_map(out, &self.rows, |out, k, words| {
             put_u64(out, k);
-            put_words(out, &self.rows[&k]);
-        }
+            put_words(out, words);
+        });
     }
 
-    /// Replaces this store's contents from a snapshot produced by
-    /// [`RowStore::encode_state`] over the same geometry. `None` (with
-    /// the store unchanged) on malformed input.
-    pub fn restore_state(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
-        use crate::snapshot::{take_u64, take_words};
-        let mut probe = *pos;
-        let n = take_u64(buf, &mut probe)?;
-        let mut rows = HashMap::with_capacity(n as usize);
-        for _ in 0..n {
-            let key = take_u64(buf, &mut probe)?;
-            let data = take_words(buf, &mut probe)?;
-            if data.len() != self.geometry.row_words() {
-                return None;
-            }
-            rows.insert(key, data);
-        }
-        self.rows = rows;
-        *pos = probe;
-        Some(())
+    /// Decodes a store written by [`RowStore::encode_state`] over
+    /// `geometry`. `None` on malformed input, including a row outside
+    /// the geometry or of the wrong length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is invalid, as [`RowStore::new`] does.
+    pub fn decode_state(geometry: MemoryGeometry, buf: &[u8], pos: &mut usize) -> Option<RowStore> {
+        use crate::snapshot::{take_run, take_u64, take_words};
+        let words = geometry.row_words();
+        // Every entry is at least a row key and a word count.
+        let rows = take_run(buf, pos, 16, |buf, pos| {
+            let key = take_u64(buf, pos)?;
+            let data = take_words(buf, pos)?;
+            (geometry.contains(RowId(key)) && data.len() == words).then_some((key, data))
+        })?;
+        Some(RowStore {
+            rows,
+            ..RowStore::new(geometry)
+        })
     }
 }
 

@@ -312,6 +312,53 @@ impl FeramBackend {
         self.wear.record_write(RowId(physical_row));
     }
 
+    /// Decodes a [`snapshot_state`](BulkBackend::snapshot_state) buffer
+    /// into a fresh backend with this one's configuration, or `None` on
+    /// malformed input or another geometry. The command log (if kept) and
+    /// the batch clock restart empty.
+    fn decode_snapshot(&self, buf: &[u8]) -> Option<Self> {
+        use crate::snapshot::{take_run, take_u32, take_u64, take_u8, take_words};
+        if self.faults.is_some() {
+            // Nor can a live injector's RNG state be restored.
+            return None;
+        }
+        let mut pos = 0usize;
+        let rows = self.geometry.total_rows();
+        let header_ok = take_u8(buf, &mut pos)? == 1
+            && take_u64(buf, &mut pos)? == rows
+            && take_u64(buf, &mut pos)? == self.geometry.row_words() as u64;
+        if !header_ok {
+            return None;
+        }
+        let pos = &mut pos;
+        let restored = Self {
+            geometry: self.geometry,
+            planes: RowStore::decode_state(*self.planes.geometry(), buf, pos)?,
+            energy: self.energy,
+            latency: self.latency,
+            stats: ExecStats::decode_state(buf, pos)?,
+            reads_since_write: take_run(buf, pos, 12, |buf, pos| {
+                Some((take_u64(buf, pos)?, take_u32(buf, pos)?))
+            })?,
+            disturb_budget: take_u32(buf, pos)?,
+            writebacks: take_u64(buf, pos)?,
+            wear: WearTracker::decode_state(buf, pos)?,
+            faults: None,
+            policy: DegradationPolicy::decode_state(buf, pos)?,
+            reliability: ReliabilityStats::decode_state(buf, pos)?,
+            // Remaps and spares name rows of the visible array.
+            remap: take_run(buf, pos, 16, |buf, pos| {
+                let (logical, physical) = (take_u64(buf, pos)?, take_u64(buf, pos)?);
+                (logical < rows && physical < rows).then_some((logical, physical))
+            })?,
+            spares: take_words(buf, pos).filter(|spares| spares.iter().all(|&r| r < rows))?,
+            command_log: self.command_log.as_ref().map(|_| Vec::new()),
+            clock: MakespanClock::per_subarray(&self.geometry),
+            row_buf: Vec::new(),
+        };
+        (*pos == buf.len()).then_some(restored)
+    }
+
     /// Rotates a scratch row to a fresh spare once its wear crosses the
     /// policy's fraction of the wear budget.
     fn maybe_rotate_scratch(&mut self, logical: RowId) {
@@ -720,7 +767,7 @@ impl BulkBackend for FeramBackend {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        use crate::snapshot::{put_u32, put_u64, put_u8};
+        use crate::snapshot::{put_map, put_u32, put_u64, put_u8, put_words};
         if self.faults.is_some() {
             // A live injector holds RNG state this codec cannot replay;
             // a restored copy would diverge from the original.
@@ -732,128 +779,29 @@ impl BulkBackend for FeramBackend {
         put_u64(&mut out, self.geometry.row_words() as u64);
         self.planes.encode_state(&mut out);
         self.stats.encode_state(&mut out);
-        let mut reads: Vec<(u64, u32)> =
-            self.reads_since_write.iter().map(|(&k, &v)| (k, v)).collect();
-        reads.sort_unstable_by_key(|&(k, _)| k);
-        put_u64(&mut out, reads.len() as u64);
-        for (row, count) in reads {
-            put_u64(&mut out, row);
-            put_u32(&mut out, count);
-        }
+        put_map(&mut out, &self.reads_since_write, |out, row, &count| {
+            put_u64(out, row);
+            put_u32(out, count);
+        });
         put_u32(&mut out, self.disturb_budget);
         put_u64(&mut out, self.writebacks);
         self.wear.encode_state(&mut out);
         self.policy.encode_state(&mut out);
         self.reliability.encode_state(&mut out);
-        let mut remap: Vec<(u64, u64)> = self.remap.iter().map(|(&k, &v)| (k, v)).collect();
-        remap.sort_unstable_by_key(|&(k, _)| k);
-        put_u64(&mut out, remap.len() as u64);
-        for (logical, physical) in remap {
-            put_u64(&mut out, logical);
-            put_u64(&mut out, physical);
-        }
+        put_map(&mut out, &self.remap, |out, logical, &physical| {
+            put_u64(out, logical);
+            put_u64(out, physical);
+        });
         // Spares pop from the back: order is state, keep it verbatim.
-        put_u64(&mut out, self.spares.len() as u64);
-        for &spare in &self.spares {
-            put_u64(&mut out, spare);
-        }
+        put_words(&mut out, &self.spares);
         Some(out)
     }
 
     fn restore_state(&mut self, snapshot: &[u8]) -> bool {
-        use crate::snapshot::{take_u32, take_u64, take_u8};
-        if self.faults.is_some() {
-            return false;
-        }
-        let buf = snapshot;
-        let mut pos = 0usize;
-        let Some(1) = take_u8(buf, &mut pos) else {
+        let Some(restored) = self.decode_snapshot(snapshot) else {
             return false;
         };
-        if take_u64(buf, &mut pos) != Some(self.geometry.total_rows())
-            || take_u64(buf, &mut pos) != Some(self.geometry.row_words() as u64)
-        {
-            return false;
-        }
-        let mut planes = self.planes.clone();
-        if planes.restore_state(buf, &mut pos).is_none() {
-            return false;
-        }
-        let Some(stats) = ExecStats::decode_state(buf, &mut pos) else {
-            return false;
-        };
-        let Some(n_reads) = take_u64(buf, &mut pos) else {
-            return false;
-        };
-        if ((buf.len() - pos) as u64) / 12 < n_reads {
-            return false;
-        }
-        let mut reads_since_write = HashMap::with_capacity(n_reads as usize);
-        for _ in 0..n_reads {
-            let (Some(row), Some(count)) = (take_u64(buf, &mut pos), take_u32(buf, &mut pos))
-            else {
-                return false;
-            };
-            reads_since_write.insert(row, count);
-        }
-        let (Some(disturb_budget), Some(writebacks)) =
-            (take_u32(buf, &mut pos), take_u64(buf, &mut pos))
-        else {
-            return false;
-        };
-        let Some(wear) = WearTracker::decode_state(buf, &mut pos) else {
-            return false;
-        };
-        let Some(policy) = DegradationPolicy::decode_state(buf, &mut pos) else {
-            return false;
-        };
-        let Some(reliability) = ReliabilityStats::decode_state(buf, &mut pos) else {
-            return false;
-        };
-        let Some(n_remap) = take_u64(buf, &mut pos) else {
-            return false;
-        };
-        if ((buf.len() - pos) as u64) / 16 < n_remap {
-            return false;
-        }
-        let mut remap = HashMap::with_capacity(n_remap as usize);
-        for _ in 0..n_remap {
-            let (Some(logical), Some(physical)) = (take_u64(buf, &mut pos), take_u64(buf, &mut pos))
-            else {
-                return false;
-            };
-            remap.insert(logical, physical);
-        }
-        let Some(n_spares) = take_u64(buf, &mut pos) else {
-            return false;
-        };
-        if ((buf.len() - pos) as u64) / 8 < n_spares {
-            return false;
-        }
-        let mut spares = Vec::with_capacity(n_spares as usize);
-        for _ in 0..n_spares {
-            let Some(spare) = take_u64(buf, &mut pos) else {
-                return false;
-            };
-            spares.push(spare);
-        }
-        if pos != buf.len() {
-            return false;
-        }
-        self.planes = planes;
-        self.stats = stats;
-        self.reads_since_write = reads_since_write;
-        self.disturb_budget = disturb_budget;
-        self.writebacks = writebacks;
-        self.wear = wear;
-        self.policy = policy;
-        self.reliability = reliability;
-        self.remap = remap;
-        self.spares = spares;
-        if let Some(log) = self.command_log.as_mut() {
-            log.clear();
-        }
-        self.clock.reset();
+        *self = restored;
         true
     }
 

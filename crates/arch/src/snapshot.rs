@@ -10,13 +10,18 @@
 //! bit-identical to the snapshotted one and replays the same schedule to
 //! the same results.
 //!
-//! Two invariants every codec here keeps:
+//! Two invariants every codec here keeps, each owned by one primitive
+//! so no caller can get it wrong:
 //!
-//! * **determinism** — hash maps are always emitted sorted by key, so
+//! * **determinism** — hash maps are written only through [`put_map`],
+//!   which emits them sorted by key, so
 //!   `snapshot(restore(snapshot(x))) == snapshot(x)` byte for byte;
-//! * **allocation guards** — every count-prefixed run checks the count
-//!   against the remaining input before allocating, so a corrupt or
-//!   truncated snapshot is rejected (`None`) instead of aborting.
+//! * **allocation guards** — count-prefixed runs are read only through
+//!   [`take_run`], which checks the count against the remaining input
+//!   before allocating, so a corrupt, truncated or crafted snapshot is
+//!   rejected (`None`) instead of panicking or aborting.
+
+use std::collections::HashMap;
 
 /// Appends one byte.
 pub fn put_u8(out: &mut Vec<u8>, v: u8) {
@@ -88,14 +93,50 @@ pub fn put_words(out: &mut Vec<u8>, words: &[u64]) {
 }
 
 /// Reads a count-prefixed word run. `None` on short input or a count
-/// that exceeds the remaining bytes (a corrupt length cannot allocate
-/// unboundedly).
+/// that exceeds the remaining bytes (see [`take_run`]).
 pub fn take_words(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
+    take_run(buf, pos, 8, take_u64)
+}
+
+/// Appends a map as a count-prefixed run of entries sorted by key, each
+/// written by `put_entry`, so the bytes never depend on hash order.
+pub fn put_map<K: Ord + Copy, V>(
+    out: &mut Vec<u8>,
+    map: &HashMap<K, V>,
+    mut put_entry: impl FnMut(&mut Vec<u8>, K, &V),
+) {
+    let mut entries: Vec<(K, &V)> = map.iter().map(|(&k, v)| (k, v)).collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    put_u64(out, entries.len() as u64);
+    for (k, v) in entries {
+        put_entry(out, k, v);
+    }
+}
+
+/// Reads a count-prefixed run of items, each decoded by `take_item` and
+/// at least `min_item_len` (nonzero) bytes long, into a `Vec` or (from
+/// `(key, value)` items) a `HashMap`. The count is checked against the
+/// remaining input *before* anything is allocated, and the checked count
+/// is reserved once, so no count a peer can write makes this allocate
+/// more than the input could describe. `None` on short input, an
+/// impossible count, or an item `take_item` refuses.
+pub fn take_run<T, C: FromIterator<T>>(
+    buf: &[u8],
+    pos: &mut usize,
+    min_item_len: usize,
+    mut take_item: impl FnMut(&[u8], &mut usize) -> Option<T>,
+) -> Option<C> {
     let n = take_u64(buf, pos)?;
-    if ((buf.len() - *pos) as u64) / 8 < n {
+    if n > ((buf.len() - *pos) / min_item_len) as u64 {
         return None;
     }
-    (0..n).map(|_| take_u64(buf, pos)).collect()
+    let mut items = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        items.push(take_item(buf, pos)?);
+    }
+    // Collecting a `Vec` back into a `Vec` reuses its buffer; a map
+    // reserves the exact length once.
+    Some(items.into_iter().collect())
 }
 
 /// Appends a byte slice as a count-prefixed run.
@@ -163,6 +204,34 @@ mod tests {
         assert!(take_words(&evil, &mut pos).is_none());
         let mut pos = 0;
         assert!(take_bytes(&evil, &mut pos).is_none());
+        // A run's guard scales with its item size: 16 bytes cannot hold
+        // two 16-byte entries, whatever the declared count.
+        let mut two = Vec::new();
+        put_u64(&mut two, 2);
+        put_u64(&mut two, 1);
+        put_u64(&mut two, 2);
+        let entry = |buf: &[u8], pos: &mut usize| Some((take_u64(buf, pos)?, take_u64(buf, pos)?));
+        let mut pos = 0;
+        assert!(take_run::<_, HashMap<u64, u64>>(&two, &mut pos, 16, entry).is_none());
+        let mut pos = 0;
+        assert!(take_run::<_, HashMap<u64, u64>>(&evil, &mut pos, 16, entry).is_none());
+    }
+
+    #[test]
+    fn maps_are_emitted_sorted_and_read_back() {
+        let map: HashMap<u64, u32> = [(9, 90), (2, 20), (u64::MAX, 1), (0, 0), (5, 50)].into();
+        let mut buf = Vec::new();
+        put_map(&mut buf, &map, |out, k, &v| {
+            put_u64(out, k);
+            put_u32(out, v);
+        });
+        let mut pos = 0;
+        let entry = |buf: &[u8], pos: &mut usize| Some((take_u64(buf, pos)?, take_u32(buf, pos)?));
+        let in_order: Vec<(u64, u32)> = take_run(&buf, &mut pos, 12, entry).unwrap();
+        assert_eq!(in_order, [(0, 0), (2, 20), (5, 50), (9, 90), (u64::MAX, 1)]);
+        let mut pos = 0;
+        assert_eq!(take_run(&buf, &mut pos, 12, entry), Some(map));
+        assert_eq!(pos, buf.len());
     }
 
     #[test]

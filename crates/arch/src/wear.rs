@@ -90,34 +90,25 @@ impl WearTracker {
     /// Appends budget and per-row counters (sorted by row) to a state
     /// snapshot.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
-        use crate::snapshot::put_u64;
+        use crate::snapshot::{put_map, put_u64};
         put_u64(out, self.endurance_budget);
-        let mut rows: Vec<(RowId, u64)> = self.writes.iter().map(|(&r, &n)| (r, n)).collect();
-        rows.sort();
-        put_u64(out, rows.len() as u64);
-        for (row, n) in rows {
+        put_map(out, &self.writes, |out, row, &n| {
             put_u64(out, row.0);
             put_u64(out, n);
-        }
+        });
     }
 
     /// Decodes a tracker written by [`WearTracker::encode_state`].
     /// `None` on malformed input (including a zero budget).
     pub fn decode_state(buf: &[u8], pos: &mut usize) -> Option<WearTracker> {
-        use crate::snapshot::take_u64;
+        use crate::snapshot::{take_run, take_u64};
         let endurance_budget = take_u64(buf, pos)?;
         if endurance_budget == 0 {
             return None;
         }
-        let n = take_u64(buf, pos)?;
-        if ((buf.len() - *pos) as u64) / 16 < n {
-            return None;
-        }
-        let mut writes = HashMap::with_capacity(n as usize);
-        for _ in 0..n {
-            let row = RowId(take_u64(buf, pos)?);
-            writes.insert(row, take_u64(buf, pos)?);
-        }
+        let writes = take_run(buf, pos, 16, |buf, pos| {
+            Some((RowId(take_u64(buf, pos)?), take_u64(buf, pos)?))
+        })?;
         Some(WearTracker {
             writes,
             endurance_budget,

@@ -42,8 +42,8 @@ use felim_arch::batch::{RowOp, RowOpOutput};
 use felim_arch::drift::DriftSpec;
 use felim_arch::geometry::MemoryGeometry;
 use felim_arch::snapshot::{
-    put_bytes, put_f64, put_u32, put_u64, put_words, take_bytes, take_f64, take_u32, take_u64,
-    take_words,
+    put_bytes, put_f64, put_u32, put_u64, put_words, take_bytes, take_f64, take_run, take_u32,
+    take_u64, take_words,
 };
 use felim_arch::ArchError;
 use serde::Serialize;
@@ -412,15 +412,8 @@ fn put_outcome(out: &mut Vec<u8>, o: &ShardBatchOutcome) {
 }
 
 fn take_outcome(buf: &[u8], pos: &mut usize) -> Option<ShardBatchOutcome> {
-    let count = take_u64(buf, pos)?;
     // Each output is at least 2 bytes (result tag + body tag).
-    if count > ((buf.len() - *pos) / 2) as u64 {
-        return None;
-    }
-    let mut outputs = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        outputs.push(take_row_result(buf, pos)?);
-    }
+    let outputs = take_run(buf, pos, 2, take_row_result)?;
     let serial_cycles = take_u64(buf, pos)?;
     let makespan_cycles = take_u64(buf, pos)?;
     let energy_nj = take_f64(buf, pos)?;

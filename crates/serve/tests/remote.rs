@@ -225,3 +225,37 @@ fn killing_the_daemon_mid_session_yields_typed_transport_errors() {
         Err(ServeError::Transport { .. })
     ));
 }
+
+#[test]
+fn a_crafted_snapshot_push_is_refused_and_the_session_lives_on() {
+    use felim_arch::batch::RowOp;
+    use felim_arch::geometry::{MemoryGeometry, RowId};
+    use felim_serve::ShardHost;
+
+    let host = ShardHost::bind("127.0.0.1:0").expect("binds");
+    let addr = host.local_addr().to_string();
+    let daemon = std::thread::spawn(move || host.serve_once());
+    let mut shard = RemoteShard::connect(
+        &addr,
+        Technology::Feram,
+        MemoryGeometry::tiny(),
+        None,
+        ConnectRetry::default(),
+    )
+    .expect("handshake succeeds");
+    let words = MemoryGeometry::tiny().row_words();
+    shard
+        .execute(&[RowOp::Write { row: RowId(3), data: vec![7; words] }], 1e-3)
+        .expect("write lands");
+    let good = shard.fetch_snapshot().expect("link up").expect("snapshots");
+
+    // The row count follows the version byte and the two geometry words.
+    let mut crafted = good.clone();
+    crafted[17..25].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
+    assert!(matches!(shard.push_snapshot(&crafted), Ok(false)), "crafted count must be refused");
+    shard.health().expect("the session still answers after the refusal");
+    assert_eq!(shard.read_local_row(3).expect("readable"), vec![7; words]);
+
+    drop(shard);
+    daemon.join().expect("the daemon thread never panics").expect("accepted");
+}

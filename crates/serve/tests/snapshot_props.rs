@@ -181,3 +181,40 @@ proptest! {
         }
     }
 }
+
+/// No snapshot byte can panic or wedge a restore: every 8-byte window of
+/// a small snapshot, overwritten with an absurd count or clock, must make
+/// `restore_state` return — and a refused variant must leave the
+/// target's state exactly as it was. Each count-prefixed run (rows,
+/// wear, disturb counters, remaps, spares, ECC side-bands, drift rows)
+/// and the drift generator state sit under some window.
+#[test]
+fn crafted_counts_cannot_panic_or_wedge_a_restore() {
+    let words = MemoryGeometry::tiny().row_words();
+    for technology in [Technology::Feram, Technology::Dram] {
+        for tier in tiers(0xC0DE) {
+            // One materialised row keeps the sweep to a few seconds.
+            let mut donor = shard_for(technology, &tier);
+            let write = RowOp::Write { row: RowId(1), data: vec![0xA5; words] };
+            let _ = donor.execute(&[write], 0.75);
+            let good = donor.snapshot_state().expect("snapshots");
+            let mut target = shard_for(technology, &tier);
+            assert!(target.restore_state(&good));
+            for at in 0..=good.len() - 8 {
+                for evil in [u64::MAX >> 1, 1 << 40] {
+                    let mut crafted = good.clone();
+                    crafted[at..at + 8].copy_from_slice(&evil.to_le_bytes());
+                    if target.restore_state(&crafted) {
+                        assert!(target.restore_state(&good), "{technology:?}: good refused");
+                    } else {
+                        assert_eq!(
+                            target.snapshot_state().as_deref(),
+                            Some(&good[..]),
+                            "{technology:?}: refused window {at} dented the target"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
