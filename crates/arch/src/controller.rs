@@ -309,16 +309,17 @@ impl<B: BulkBackend> ReliabilityController<B> {
         if !self.config.ecc {
             return Ok(());
         }
-        // The backend either holds implicit zeros or exposes no raw
-        // storage when `peek_row` is `None`; encode over zeros in the
-        // first case and drop protection in the second (`peek_row` cannot
+        // When `stored_row` is `None` the backend either holds implicit
+        // zeros or exposes no raw storage; encode over zeros in the first
+        // case and drop protection in the second (`stored_row` cannot
         // distinguish them — both decode every all-zero read as clean, so
         // the conservative choice is identical).
-        let stored = self
-            .inner
-            .peek_row(row)?
-            .unwrap_or_else(|| vec![0u64; self.inner.geometry().row_words()]);
-        self.codes.entry(row.0).or_default().reencode(&stored);
+        let stored = self.inner.stored_row(row)?;
+        let code = self.codes.entry(row.0).or_default();
+        match stored {
+            Some(stored) => code.reencode(stored),
+            None => code.reencode_zeros(self.inner.geometry().row_words()),
+        }
         Ok(())
     }
 
@@ -348,22 +349,20 @@ impl<B: BulkBackend> ReliabilityController<B> {
     }
 
     fn run_due_scrub_passes(&mut self) -> Result<(), ArchError> {
-        loop {
+        // The schedule is asked first, so a tick with no pass due builds
+        // no row list.
+        while self.scrubber.as_ref().is_some_and(PatrolScrubber::due) {
             let tracked = self.drift.tracked_rows();
-            let Some(scrubber) = self.scrubber.as_mut() else {
-                return Ok(());
-            };
-            match scrubber.begin_pass(tracked.len()) {
-                Some((start, count)) => {
-                    for i in 0..count {
-                        let row = tracked[(start + i) % tracked.len()];
-                        self.scrub_row(row)?;
-                    }
+            let pass = self
+                .scrubber
+                .as_mut()
+                .and_then(|s| s.begin_pass(tracked.len()));
+            // `None` here: nothing tracked, the due pass was consumed
+            // empty — keep draining periods.
+            if let Some((start, count)) = pass {
+                for i in 0..count {
+                    self.scrub_row(tracked[(start + i) % tracked.len()])?;
                 }
-                // Due with nothing tracked: the pass was consumed empty —
-                // keep draining periods. Not due: done.
-                None if scrubber.due() => continue,
-                None => break,
             }
         }
         if let Some(scrubber) = self.scrubber.as_ref() {
@@ -512,8 +511,8 @@ impl<B: BulkBackend> BulkBackend for ReliabilityController<B> {
         self.inner.tech_name()
     }
 
-    fn peek_row(&self, row: RowId) -> Result<Option<Vec<u64>>, ArchError> {
-        self.inner.peek_row(row)
+    fn stored_row(&self, row: RowId) -> Result<Option<&[u64]>, ArchError> {
+        self.inner.stored_row(row)
     }
 
     fn decay_row(&mut self, row: RowId, mask: &[u64]) -> Result<bool, ArchError> {

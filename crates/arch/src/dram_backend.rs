@@ -314,8 +314,8 @@ impl BulkBackend for DramBackend {
         "1T-1C DRAM (Ambit AAP)"
     }
 
-    fn peek_row(&self, row: RowId) -> Result<Option<Vec<u64>>, ArchError> {
-        Ok(self.store.row(row)?.map(<[u64]>::to_vec))
+    fn stored_row(&self, row: RowId) -> Result<Option<&[u64]>, ArchError> {
+        self.store.row(row)
     }
 
     fn decay_row(&mut self, row: RowId, mask: &[u64]) -> Result<bool, ArchError> {

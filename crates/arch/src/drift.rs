@@ -343,8 +343,12 @@ impl DriftProcess {
     /// sampler resumes from the recorded generator state, so subsequent
     /// [`DriftProcess::sample_row`] calls produce masks bit-identical to
     /// the snapshotted process's. `None` (process unchanged) on malformed
-    /// input, a seed mismatch, or the all-zero generator state (which no
-    /// seeded stream reaches, and which would only ever emit zeros).
+    /// input, a seed mismatch, the all-zero generator state (which no
+    /// seeded stream reaches, and which would only ever emit zeros), or
+    /// a clock that no process reaches: a `now_s` or a row's
+    /// `last_write_s` that is negative or not finite, or a row written
+    /// after `now_s`. A NaN clock would make every hold time zero and
+    /// stop drift for good.
     pub fn restore_state(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
         use crate::snapshot::{take_f64, take_run, take_u64};
         let mut probe = *pos;
@@ -359,6 +363,9 @@ impl DriftProcess {
             return None;
         }
         let now_s = take_f64(buf, &mut probe)?;
+        if !(now_s.is_finite() && now_s >= 0.0) {
+            return None;
+        }
         let ticks = take_u64(buf, &mut probe)?;
         let flips_injected = take_u64(buf, &mut probe)?;
         let rows = take_run(buf, &mut probe, 32, |buf, pos| {
@@ -368,8 +375,11 @@ impl DriftProcess {
                 reads_since_write: take_u64(buf, pos)?,
                 reads_charged: take_u64(buf, pos)?,
             };
-            // Charged reads are a prefix of the reads since the write.
-            (state.reads_charged <= state.reads_since_write).then_some((key, state))
+            // The write happened on the clock, and charged reads are a
+            // prefix of the reads since the write.
+            ((0.0..=now_s).contains(&state.last_write_s)
+                && state.reads_charged <= state.reads_since_write)
+                .then_some((key, state))
         })?;
         self.rng = StdRng::from_state(state);
         self.now_s = now_s;
@@ -578,5 +588,40 @@ mod tests {
         let mut pos = 0;
         assert!(target.restore_state(&snap, &mut pos).is_none());
         assert_eq!((pos, target.ticks()), (0, 0));
+    }
+
+    #[test]
+    fn restore_refuses_clocks_no_process_reaches() {
+        let mut original = DriftProcess::new(hot(44));
+        original.tick(60.0);
+        original.note_write(RowId(3));
+        original.tick(60.0);
+        let mut good = Vec::new();
+        original.encode_state(&mut good);
+        // Seed, four generator words, then the clock; the only row's
+        // write time follows the ticks, flip count, row count and key.
+        let now = 40..48;
+        let last_write = 80..88;
+        assert_eq!(good[last_write.clone()], 60.0f64.to_le_bytes());
+        for (field, bad) in [
+            (&now, f64::NAN),
+            (&now, f64::INFINITY),
+            (&now, -1.0),
+            (&last_write, f64::NAN),
+            (&last_write, f64::NEG_INFINITY),
+            (&last_write, -1.0),
+            (&last_write, 121.0),
+        ] {
+            let mut crafted = good.clone();
+            crafted[field.clone()].copy_from_slice(&bad.to_le_bytes());
+            let mut target = DriftProcess::new(hot(44));
+            let mut pos = 0;
+            let restored = target.restore_state(&crafted, &mut pos);
+            assert!(restored.is_none(), "{field:?} = {bad}");
+            assert_eq!((pos, target.now_s()), (0, 0.0));
+        }
+        let mut target = DriftProcess::new(hot(44));
+        assert!(target.restore_state(&good, &mut 0).is_some());
+        assert_eq!(target.now_s(), 120.0);
     }
 }

@@ -18,12 +18,17 @@
 //! as uncorrectable. This is exactly the decision table the
 //! [`decode_word`] doc-table spells out.
 //!
-//! No codeword is ever assembled at run time. Hamming check bit `i` is
-//! the parity of the data bits whose position has bit `i` set, so the
-//! encoder takes seven `popcount`s of the data word against parity masks
-//! precomputed from the position numbering above, and the decoder's
-//! syndrome is those seven bits XOR the stored ones. A data correction
-//! flips the data bit at the syndrome's position through a const table.
+//! No codeword is ever assembled at run time. Every check bit, the
+//! overall parity included, is a parity of data bits, so the check byte
+//! is linear over GF(2): `encode_word(a ^ b) == encode_word(a) ^
+//! encode_word(b)`. The encoder therefore splits the data word into its
+//! eight byte lanes and XORs one lookup per lane from `const` tables
+//! built, at compile time, by the bitwise parity-mask construction. The
+//! decoder re-encodes the data and XORs the stored check byte: the upper
+//! seven bits of the result are the Hamming syndrome and its popcount
+//! parity is the overall parity of the 72-bit codeword. A data
+//! correction flips the data bit at the syndrome's position through a
+//! const table.
 //!
 //! The [`ReliabilityController`](crate::controller::ReliabilityController)
 //! stores one [`RowCode`] per protected row, re-encodes on every write,
@@ -81,17 +86,33 @@ const HAMMING_MASKS: [u64; 7] = {
     masks
 };
 
-/// The seven Hamming check bits of `data` (bit `i` = the check bit at
-/// position `2^i`): the parity of each mask group. Equals the Hamming
-/// syndrome of the codeword holding `data` with all check bits zero.
-#[inline]
-fn hamming_bits(data: u64) -> u8 {
-    let mut bits = 0u8;
-    for (i, &mask) in HAMMING_MASKS.iter().enumerate() {
-        bits |= (((data & mask).count_ones() & 1) as u8) << i;
+/// Check-byte contributions of each byte lane: `ENCODE_TABLES[j][b]` is
+/// the check byte of the data word whose lane `j` (bits `8j..8j + 8`)
+/// holds `b` and whose other lanes are zero. The check byte is linear,
+/// so a word's check byte is the XOR of its eight lane entries.
+const ENCODE_TABLES: [[u8; 256]; 8] = {
+    let mut tables = [[0u8; 256]; 8];
+    let mut lane = 0;
+    while lane < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let data = (byte as u64) << (8 * lane);
+            // Hamming check bit `i` zeroes the parity of its mask group;
+            // the overall bit then makes all 72 bits even.
+            let mut hamming = 0u8;
+            let mut i = 0;
+            while i < 7 {
+                hamming |= (((data & HAMMING_MASKS[i]).count_ones() & 1) as u8) << i;
+                i += 1;
+            }
+            let overall = (data.count_ones() + hamming.count_ones()) & 1;
+            tables[lane][byte] = (hamming << 1) | overall as u8;
+            byte += 1;
+        }
+        lane += 1;
     }
-    bits
-}
+    tables
+};
 
 /// Encodes the 8-bit SECDED check byte for one 64-bit data word.
 ///
@@ -106,11 +127,12 @@ fn hamming_bits(data: u64) -> u8 {
 /// ```
 #[inline]
 pub fn encode_word(data: u64) -> u8 {
-    // Check bits zero every Hamming parity group; the overall bit then
-    // makes the parity of all 72 bits even.
-    let hamming = hamming_bits(data);
-    let overall = (data.count_ones() + hamming.count_ones()) & 1;
-    (hamming << 1) | overall as u8
+    let b = data.to_le_bytes();
+    let t = &ENCODE_TABLES;
+    (t[0][usize::from(b[0])] ^ t[1][usize::from(b[1])])
+        ^ (t[2][usize::from(b[2])] ^ t[3][usize::from(b[3])])
+        ^ (t[4][usize::from(b[4])] ^ t[5][usize::from(b[5])])
+        ^ (t[6][usize::from(b[6])] ^ t[7][usize::from(b[7])])
 }
 
 /// Outcome of decoding one `(data, check)` pair.
@@ -142,10 +164,14 @@ pub enum WordDecode {
 /// | ≥ 72    | odd  | impossible for 1 flip → ≥3 flips, detected    |
 /// | nonzero | even | double flip → detected, uncorrectable         |
 pub fn decode_word(data: u64, check: u8) -> WordDecode {
-    // The check bits sit at positions 2^i, so their share of the
-    // syndrome is the seven Hamming bits of the check byte themselves.
-    let s = u32::from(hamming_bits(data) ^ (check >> 1));
-    let parity_odd = (data.count_ones() + check.count_ones()) % 2 == 1;
+    // Re-encoding the data gives the check byte a clean codeword would
+    // carry; XOR with the stored one leaves the syndrome in bits 1..=7
+    // (the check bits sit at positions 2^i, so their share of the
+    // syndrome is their own value) and, in its popcount parity, the
+    // overall parity of all 72 stored bits.
+    let e = encode_word(data) ^ check;
+    let s = u32::from(e >> 1);
+    let parity_odd = e.count_ones() & 1 == 1;
     match (s, parity_odd) {
         (0, false) => WordDecode::Clean,
         (0, true) => WordDecode::CorrectedCheck,
@@ -183,6 +209,14 @@ impl RowCode {
     pub fn reencode(&mut self, data: &[u64]) {
         self.checks.clear();
         self.checks.extend(data.iter().map(|&w| encode_word(w)));
+    }
+
+    /// Re-encodes this side-band for a row of `words` zero words without
+    /// the row itself: the same bytes as [`RowCode::reencode`] over
+    /// zeros, whose check byte is zero.
+    pub fn reencode_zeros(&mut self, words: usize) {
+        self.checks.clear();
+        self.checks.resize(words, encode_word(0));
     }
 
     /// Number of protected words.
@@ -259,7 +293,7 @@ impl RowCheck {
 mod tests {
     use super::*;
 
-    // Reference oracle: the bitwise construction the parity masks
+    // Reference oracle: the bitwise construction the lane tables
     // replace. It builds the 72-bit codeword explicitly (bit `p` of a
     // `u128` = codeword position `p`) and XORs set-bit positions into the
     // syndrome.
@@ -403,6 +437,19 @@ mod tests {
     }
 
     #[test]
+    fn encode_is_linear_over_gf2() {
+        let a = xorshift_words(0x2545_F491_4F6C_DD1D, 10_000);
+        let b = xorshift_words(0x9E37_79B9_7F4A_7C15, 10_000);
+        for (a, b) in a.zip(b) {
+            assert_eq!(
+                encode_word(a ^ b),
+                encode_word(a) ^ encode_word(b),
+                "data {a:#x} ^ {b:#x}"
+            );
+        }
+    }
+
+    #[test]
     fn decode_matches_the_bitwise_reference() {
         let words = [0u64, !0, 0xDEAD_BEEF, 0x5555_0000_FFFF_AAAA]
             .into_iter()
@@ -522,6 +569,10 @@ mod tests {
         let mut reused = RowCode::encode(&[!0; 7]);
         reused.reencode(&data);
         assert_eq!(reused, code);
+
+        // Re-encoding zeros without the row matches encoding the row.
+        reused.reencode_zeros(5);
+        assert_eq!(reused, RowCode::encode(&[0; 5]));
 
         // Words past the side-band's length are unprotected: skipped.
         let mut longer = data.clone();

@@ -356,7 +356,12 @@ impl FeramBackend {
             clock: MakespanClock::per_subarray(&self.geometry),
             row_buf: Vec::new(),
         };
-        (*pos == buf.len()).then_some(restored)
+        // A group's disturb count is reset whenever it reaches the budget,
+        // so a count at or past it is no state a backend reaches (and one
+        // at `u32::MAX` would overflow on the next read).
+        let budget = restored.disturb_budget;
+        let counts_ok = restored.reads_since_write.values().all(|&n| n < budget);
+        (*pos == buf.len() && counts_ok).then_some(restored)
     }
 
     /// Rotates a scratch row to a fresh spare once its wear crosses the
@@ -735,10 +740,10 @@ impl BulkBackend for FeramBackend {
         "2T-nC FeRAM (ACP/TBA)"
     }
 
-    fn peek_row(&self, row: RowId) -> Result<Option<Vec<u64>>, ArchError> {
+    fn stored_row(&self, row: RowId) -> Result<Option<&[u64]>, ArchError> {
         self.check_row(row)?;
         let physical = self.resolve(row);
-        Ok(self.planes.row(self.plane_of(physical, 0))?.map(<[u64]>::to_vec))
+        self.planes.row(self.plane_of(physical, 0))
     }
 
     fn decay_row(&mut self, row: RowId, mask: &[u64]) -> Result<bool, ArchError> {

@@ -221,16 +221,29 @@ pub trait BulkBackend {
     /// Human-readable technology name.
     fn tech_name(&self) -> &'static str;
 
-    /// Maintenance view of a row's stored bits, free of charge and free
-    /// of fault injection — what an oracle (or the reliability
-    /// controller's ground-truth snapshot) sees. `Ok(None)` when the
-    /// backend does not expose raw storage (the default).
+    /// Maintenance view of a row's stored bits, borrowed: free of
+    /// charge, free of fault injection and free of any copy — what the
+    /// reliability controller re-encodes its SECDED side-band from after
+    /// every write. `Ok(None)` when the row holds no data yet or the
+    /// backend does not expose raw storage (the default). A wrapping
+    /// backend forwards this (and so [`BulkBackend::peek_row`] with it)
+    /// to the backend it wraps.
     ///
     /// # Errors
     ///
     /// [`ArchError::RowOutOfRange`].
-    fn peek_row(&self, _row: RowId) -> Result<Option<Vec<u64>>, ArchError> {
+    fn stored_row(&self, _row: RowId) -> Result<Option<&[u64]>, ArchError> {
         Ok(None)
+    }
+
+    /// [`BulkBackend::stored_row`] as an owned copy — what an oracle (or
+    /// a ground-truth snapshot of the stored bits) keeps.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchError::RowOutOfRange`].
+    fn peek_row(&self, row: RowId) -> Result<Option<Vec<u64>>, ArchError> {
+        Ok(self.stored_row(row)?.map(<[u64]>::to_vec))
     }
 
     /// XORs `mask` into the row's *stored* bits, modelling an

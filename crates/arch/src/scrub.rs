@@ -154,7 +154,9 @@ impl PatrolScrubber {
 
     /// Restores schedule state written by
     /// [`PatrolScrubber::encode_state`]. `None` (scrubber unchanged) on
-    /// malformed input or a config that differs from this scrubber's.
+    /// malformed input, a config that differs from this scrubber's, or a
+    /// clock that is negative or not finite (a NaN clock is never due, an
+    /// infinite one always is: either would wedge the patrol).
     pub fn restore_state(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
         use crate::snapshot::{take_f64, take_u64};
         let mut probe = *pos;
@@ -168,6 +170,9 @@ impl PatrolScrubber {
             return None;
         }
         let since_pass_s = take_f64(buf, &mut probe)?;
+        if !(since_pass_s.is_finite() && since_pass_s >= 0.0) {
+            return None;
+        }
         let passes = take_u64(buf, &mut probe)?;
         let rewrites = take_u64(buf, &mut probe)?;
         let cursor = take_u64(buf, &mut probe)? as usize;
@@ -236,6 +241,31 @@ mod tests {
         s.note_rewrite();
         s.note_rewrite();
         assert_eq!(s.rewrites(), 2);
+    }
+
+    #[test]
+    fn restore_refuses_clocks_that_are_not_finite_or_negative() {
+        let mut donor = PatrolScrubber::new(ScrubConfig::every(1.0));
+        donor.advance(0.25);
+        let mut good = Vec::new();
+        donor.encode_state(&mut good);
+        // The clock follows the three config words.
+        let clock = 3 * 8..4 * 8;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut crafted = good.clone();
+            crafted[clock.clone()].copy_from_slice(&bad.to_le_bytes());
+            let mut target = PatrolScrubber::new(ScrubConfig::every(1.0));
+            let mut pos = 0;
+            let restored = target.restore_state(&crafted, &mut pos);
+            assert_eq!(restored, None, "clock {bad}");
+            assert_eq!(pos, 0, "a refused restore consumes nothing");
+            target.advance(1.0);
+            assert!(target.due(), "clock {bad}: refused, yet not patrolling");
+        }
+        let mut target = PatrolScrubber::new(ScrubConfig::every(1.0));
+        assert_eq!(target.restore_state(&good, &mut 0), Some(()));
+        target.advance(0.75);
+        assert!(target.due());
     }
 
     #[test]

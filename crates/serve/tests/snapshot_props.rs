@@ -184,8 +184,9 @@ proptest! {
 
 /// No snapshot byte can panic or wedge a restore: every 8-byte window of
 /// a small snapshot, overwritten with an absurd count or clock, must make
-/// `restore_state` return — and a refused variant must leave the
-/// target's state exactly as it was. Each count-prefixed run (rows,
+/// `restore_state` return — an accepted variant must then survive a
+/// tick, and a refused variant must leave the target's state exactly as
+/// it was. Each count-prefixed run (rows,
 /// wear, disturb counters, remaps, spares, ECC side-bands, drift rows)
 /// and the drift generator state sit under some window.
 #[test]
@@ -205,6 +206,10 @@ fn crafted_counts_cannot_panic_or_wedge_a_restore() {
                     let mut crafted = good.clone();
                     crafted[at..at + 8].copy_from_slice(&evil.to_le_bytes());
                     if target.restore_state(&crafted) {
+                        // An accepted variant must still serve: one
+                        // second is long enough for a scrub pass, so a
+                        // wedged clock would hang or panic here.
+                        let _ = target.execute(&[], 1.0);
                         assert!(target.restore_state(&good), "{technology:?}: good refused");
                     } else {
                         assert_eq!(
