@@ -17,6 +17,15 @@
 use felim_telemetry::CachedCounter;
 use serde::Serialize;
 
+/// Most due periods a restored scrub clock may owe
+/// (`since_pass_s / period_s`). A live scrubber drains every due period
+/// in the tick that made it due, so a snapshot's clock is normally under
+/// one period. A larger backlog comes from a corrupt or crafted
+/// snapshot, and past about 2^52 periods `since_pass_s -= period_s` no
+/// longer changes the clock: the drain would never end, under the
+/// shard's lock. The cap bounds a restore's catch-up far below that.
+pub const MAX_RESTORED_BACKLOG_PASSES: f64 = 65_536.0;
+
 /// Patrol-scrub configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ScrubConfig {
@@ -155,8 +164,10 @@ impl PatrolScrubber {
     /// Restores schedule state written by
     /// [`PatrolScrubber::encode_state`]. `None` (scrubber unchanged) on
     /// malformed input, a config that differs from this scrubber's, or a
-    /// clock that is negative or not finite (a NaN clock is never due, an
-    /// infinite one always is: either would wedge the patrol).
+    /// clock that is negative, not finite, or owes more than
+    /// [`MAX_RESTORED_BACKLOG_PASSES`] periods (a NaN clock is never due,
+    /// an infinite or huge one never stops being due: each would wedge
+    /// the patrol).
     pub fn restore_state(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
         use crate::snapshot::{take_f64, take_u64};
         let mut probe = *pos;
@@ -170,7 +181,10 @@ impl PatrolScrubber {
             return None;
         }
         let since_pass_s = take_f64(buf, &mut probe)?;
-        if !(since_pass_s.is_finite() && since_pass_s >= 0.0) {
+        // NaN fails both comparisons; infinity exceeds the cap.
+        if !(since_pass_s >= 0.0
+            && since_pass_s / self.config.period_s <= MAX_RESTORED_BACKLOG_PASSES)
+        {
             return None;
         }
         let passes = take_u64(buf, &mut probe)?;
@@ -266,6 +280,35 @@ mod tests {
         assert_eq!(target.restore_state(&good, &mut 0), Some(()));
         target.advance(0.75);
         assert!(target.due());
+    }
+
+    #[test]
+    fn restore_refuses_a_backlog_past_the_cap() {
+        let donor = PatrolScrubber::new(ScrubConfig::every(1.0));
+        let mut good = Vec::new();
+        donor.encode_state(&mut good);
+        let clock = 3 * 8..4 * 8;
+        let crafted = |since_pass_s: f64| {
+            let mut buf = good.clone();
+            buf[clock.clone()].copy_from_slice(&since_pass_s.to_le_bytes());
+            buf
+        };
+        // At 1e20 s a 1 s period no longer moves the clock: draining the
+        // backlog would loop forever.
+        let mut target = PatrolScrubber::new(ScrubConfig::every(1.0));
+        assert_eq!(target.restore_state(&crafted(1e20), &mut 0), None);
+        assert!(!target.due(), "a refused restore leaves the clock alone");
+        // A backlog at the cap is accepted and drains in that many passes.
+        assert_eq!(
+            target.restore_state(&crafted(MAX_RESTORED_BACKLOG_PASSES), &mut 0),
+            Some(())
+        );
+        let mut drained = 0;
+        while target.due() {
+            target.begin_pass(0);
+            drained += 1;
+        }
+        assert_eq!(f64::from(drained), MAX_RESTORED_BACKLOG_PASSES);
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! Stripe replication and deterministic failover.
 //!
-//! Every stripe of the vector catalog can be backed by a **primary plus
+//! Every stripe of the vector catalog is backed by a **primary plus
 //! N hot standbys** — any mix of local and remote
 //! [`PoolMember`](crate::PoolMember)s, which the service drives through
-//! that one trait without asking where a member lives. The service
-//! dual-dispatches every settled [`RowOp`] batch schedule to the primary
-//! *and* its standbys; schedules are deterministic (same ops, same tick
-//! clock, same derived drift seed), so replicas stay **byte-identical
-//! by construction**. That claim is verified cheaply, not assumed: each
-//! replica's batch outcomes fold into a rolling FNV-1a digest, and the
-//! digests are compared at epoch boundaries — a divergent standby is
-//! retired and rebuilt rather than trusted.
+//! that one trait without asking where a member lives. A plain
+//! (unreplicated) pool is the `N = 0` case of the same dispatch path:
+//! its [`ReplicaManager`] is the identity (see
+//! [`ReplicaManager::unreplicated`]). The service dispatches every
+//! settled [`RowOp`] batch schedule to the primary *and* its standbys,
+//! all sharing one copy of the stripe's ops; schedules are
+//! deterministic (same ops, same tick clock, same derived drift seed),
+//! so replicas stay **byte-identical by construction**. That claim is
+//! verified cheaply, not assumed: each replica's batch outcomes fold
+//! into a rolling FNV-1a digest, and the digests are compared at epoch
+//! boundaries — a divergent standby is retired and rebuilt rather than
+//! trusted.
 //!
 //! # The failover state machine
 //!
@@ -58,6 +62,7 @@ use felim_arch::batch::RowOp;
 use felim_arch::ControllerHealth;
 use felim_exec::fnv1a_bytes;
 use serde::Serialize;
+use std::sync::Arc;
 
 /// Replication knobs, carried in
 /// [`ServiceConfig::replication`](crate::ServiceConfig::replication).
@@ -135,14 +140,19 @@ struct Rebuild {
     sent: u64,
     /// Batch schedules the rebuilding member missed, replayed on
     /// completion with their original tick clocks.
-    pending: Vec<(f64, Vec<RowOp>)>,
+    pending: Vec<MissedSchedule>,
 }
+
+/// A batch schedule a rebuilding member missed: its tick clock and the
+/// stripe's ops, shared with the dispatch that ran them.
+pub type MissedSchedule = (f64, Arc<[RowOp]>);
 
 /// Per-stripe replication bookkeeping: active/standby roles, rolling
 /// outcome digests, failure flags, and rebuild progress. The service
-/// owns one of these when replication is configured and drives it each
-/// tick; all pool I/O (dispatch, snapshot, restore) stays in the
-/// service — this type is pure state machine.
+/// always owns one of these and drives it each tick — a plain pool's is
+/// the zero-standby [`unreplicated`](Self::unreplicated) manager; all
+/// pool I/O (dispatch, snapshot, restore) stays in the service — this
+/// type is pure state machine.
 pub struct ReplicaManager {
     config: ReplicationConfig,
     stripes: usize,
@@ -189,6 +199,28 @@ impl ReplicaManager {
             uncorrectable_streak: vec![0; stripes],
             rebuilds: (0..stripes).map(|_| None).collect(),
         }
+    }
+
+    /// The zero-standby manager of a plain pool, and the identity: it
+    /// folds no digests, is never at an epoch boundary (so the service
+    /// polls no member's health), and has nothing to promote, retire,
+    /// snapshot, rebuild or log. Each stripe dispatches to its primary
+    /// only, and [`ServiceReport::replica`](crate::ServiceReport::replica)
+    /// stays `None`.
+    pub fn unreplicated(stripes: usize) -> Self {
+        Self::new(
+            ReplicationConfig {
+                standbys: 0,
+                ..ReplicationConfig::default()
+            },
+            stripes,
+        )
+    }
+
+    /// Does any stripe have a standby? `false` for
+    /// [`unreplicated`](Self::unreplicated).
+    pub fn replicated(&self) -> bool {
+        self.config.standbys > 0
     }
 
     /// The configuration in force.
@@ -238,8 +270,12 @@ impl ReplicaManager {
             .collect()
     }
 
-    /// Folds one replica's batch outcome into its rolling digest.
+    /// Folds one replica's batch outcome into its rolling digest (a
+    /// no-op without standbys: there is nothing to compare it with).
     pub fn note_outcome(&mut self, stripe: usize, replica: usize, outcome: &ShardBatchOutcome) {
+        if !self.replicated() {
+            return;
+        }
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(&self.digests[stripe][replica].to_le_bytes());
         wire::encode_outcome(&mut buf, outcome);
@@ -265,9 +301,10 @@ impl ReplicaManager {
             || health.uncorrectable_words > 0
     }
 
-    /// Is `now` an epoch boundary (digest compare + health poll)?
+    /// Is `now` an epoch boundary (digest compare + health poll)? Never
+    /// without standbys: a health breach would have nothing to promote.
     pub fn epoch_due(&self, now: u64) -> bool {
-        now > 0 && now.is_multiple_of(self.config.epoch_ticks)
+        self.replicated() && now > 0 && now.is_multiple_of(self.config.epoch_ticks)
     }
 
     /// Promotes a replacement active for `stripe` after the current
@@ -361,10 +398,10 @@ impl ReplicaManager {
     }
 
     /// Logs a batch schedule the rebuilding member missed (no-op when
-    /// `stripe` has no rebuild in flight or the batch is empty).
-    pub fn log_schedule(&mut self, stripe: usize, tick_s: f64, ops: &[RowOp]) {
+    /// `stripe` has no rebuild in flight).
+    pub fn log_schedule(&mut self, stripe: usize, tick_s: f64, ops: &Arc<[RowOp]>) {
         if let Some(rebuild) = &mut self.rebuilds[stripe] {
-            rebuild.pending.push((tick_s, ops.to_vec()));
+            rebuild.pending.push((tick_s, Arc::clone(ops)));
         }
     }
 
@@ -373,8 +410,7 @@ impl ReplicaManager {
     /// When the transfer completes, returns
     /// `(replica, snapshot, missed schedules)` for the service to
     /// restore and replay; otherwise `None`.
-    #[allow(clippy::type_complexity)]
-    pub fn rebuild_step(&mut self, stripe: usize) -> Option<(usize, Vec<u8>, Vec<(f64, Vec<RowOp>)>)> {
+    pub fn rebuild_step(&mut self, stripe: usize) -> Option<(usize, Vec<u8>, Vec<MissedSchedule>)> {
         let rebuild = self.rebuilds[stripe].as_mut()?;
         rebuild.sent = rebuild
             .sent
@@ -382,7 +418,7 @@ impl ReplicaManager {
         if rebuild.sent < rebuild.snapshot.len() as u64 {
             return None;
         }
-        let done = self.rebuilds[stripe].take().expect("checked above");
+        let done = self.rebuilds[stripe].take()?;
         Some((done.replica, done.snapshot, done.pending))
     }
 
@@ -482,9 +518,10 @@ mod tests {
         mgr.begin_rebuild(0, 0, vec![0xAB; 10]);
         assert_eq!(mgr.rebuild_in_progress(0), Some(0));
         // Missed batches accumulate while the transfer paces.
-        mgr.log_schedule(0, 1e-3, &[]);
+        let ops: Arc<[RowOp]> = Arc::from([]);
+        mgr.log_schedule(0, 1e-3, &ops);
         assert!(mgr.rebuild_step(0).is_none(), "4/10 bytes");
-        mgr.log_schedule(0, 1e-3, &[]);
+        mgr.log_schedule(0, 1e-3, &ops);
         assert!(mgr.rebuild_step(0).is_none(), "8/10 bytes");
         let (replica, snapshot, pending) = mgr.rebuild_step(0).expect("12/10 bytes: complete");
         assert_eq!(replica, 0);
@@ -510,6 +547,32 @@ mod tests {
         assert!(!mgr.note_active_uncorrectable(0, false), "streak resets");
         assert!(!mgr.note_active_uncorrectable(0, true));
         assert!(mgr.note_active_uncorrectable(0, true), "2 consecutive");
+    }
+
+    #[test]
+    fn zero_standby_manager_is_the_identity() {
+        let mut mgr = ReplicaManager::unreplicated(3);
+        assert!(!mgr.replicated());
+        for round in 0..10u32 {
+            for s in 0..3 {
+                mgr.note_outcome(s, 0, &outcome(f64::from(round)));
+                // A streak far past any threshold still has no standby
+                // to promote.
+                mgr.note_active_uncorrectable(s, true);
+            }
+        }
+        for n in 0..1000 {
+            assert!(!mgr.epoch_due(n), "tick {n}");
+        }
+        for s in 0..3 {
+            assert_eq!(mgr.promote_planned(s), None);
+            assert_eq!(mgr.promote_after_fault(s, &[]), None);
+            assert_eq!(mgr.needs_rebuild(s), None);
+            assert_eq!(mgr.rebuild_in_progress(s), None);
+            assert_eq!(mgr.dispatch_replicas(s), vec![0]);
+            assert_eq!(mgr.active_member(s), s);
+        }
+        assert_eq!(*mgr.stats(), ReplicaStats::default());
     }
 
     #[test]

@@ -144,8 +144,9 @@ pub struct ServiceConfig {
     pub remote_connect_backoff_ms: u64,
     /// Stripe replication: `Some` backs every stripe with hot standbys
     /// and enables deterministic failover (see [`crate::replica`]).
-    /// `None` (the default) runs each stripe on a single member and is
-    /// byte-identical to replication being on — standbys are exact
+    /// `None` (the default) runs each stripe on a single member — the
+    /// zero-standby case of the same dispatch path — and is
+    /// byte-identical to replication being on: standbys are exact
     /// copies and never influence settled responses.
     pub replication: Option<ReplicationConfig>,
 }
@@ -196,8 +197,34 @@ impl ServiceConfig {
     pub fn window_for(&self, tenant: TenantId) -> usize {
         self.tenant_batch_window
             .iter()
-            .find(|&&(t, _)| t == tenant.0)
-            .map_or(self.batch_window, |&(_, w)| w)
+            .find_map(|&(t, w)| (t == tenant.0).then_some(w))
+            .unwrap_or(self.batch_window)
+    }
+}
+
+/// A request's op as admitted. Kernels parse and compile at admission,
+/// so their variant carries the compiled plan and dispatch never looks
+/// at program text again.
+enum AdmittedOp {
+    /// Any op but a kernel (never `LogicalOp::Kernel`).
+    Op(LogicalOp),
+    /// A kernel's compiled schedule and the row count its bound vectors
+    /// share.
+    Kernel {
+        /// Compiled once at admission (or taken from the plan cache).
+        plan: Arc<KernelPlan>,
+        /// Rows of every bound vector.
+        rows: u64,
+    },
+}
+
+impl AdmittedOp {
+    /// The submitted op's [`LogicalOp::mnemonic`].
+    fn mnemonic(&self) -> &'static str {
+        match self {
+            AdmittedOp::Op(op) => op.mnemonic(),
+            AdmittedOp::Kernel { .. } => "kernel",
+        }
     }
 }
 
@@ -205,15 +232,13 @@ impl ServiceConfig {
 struct PendingRequest {
     id: RequestId,
     tenant: TenantId,
-    op: LogicalOp,
+    op: AdmittedOp,
     deadline: Option<u64>,
     submitted_tick: u64,
     submit_cycles: u64,
     attempts: u32,
     not_before: u64,
     involved: Vec<u32>,
-    /// Compiled schedule of a `Kernel` op (built once at admission).
-    plan: Option<Arc<KernelPlan>>,
     /// A `Read` answered from the digest cache: `(rows, digest)` — the
     /// request then dispatches zero row-ops.
     cached_digest: Option<(u64, u64)>,
@@ -334,7 +359,8 @@ pub struct ServiceReport {
     pub energy_mj: f64,
     /// Per-shard load totals.
     pub per_shard: Vec<ShardLoad>,
-    /// Replication-layer counters, when replication is configured.
+    /// Replication-layer counters, when replication is configured
+    /// (`None` for a plain pool).
     pub replica: Option<ReplicaStats>,
 }
 
@@ -371,16 +397,21 @@ pub struct BulkService {
     /// repeated `Kernel` submissions of the same program against the
     /// same binding shape skip recompilation entirely.
     plan_cache: HashMap<PlanKey, Arc<KernelPlan>>,
-    /// Replication state machine, when `config.replication` is set.
-    /// Pool members are laid out replica-major (member
-    /// `replica · shards + stripe`), so member indices 0..shards are
-    /// the primaries and all stripe-indexed bookkeeping is unchanged.
-    replicas: Option<ReplicaManager>,
+    /// Replication state machine — the zero-standby identity when
+    /// `config.replication` is `None`. Pool members are laid out
+    /// replica-major (member `replica · shards + stripe`), so member
+    /// indices 0..shards are the primaries and all stripe-indexed
+    /// bookkeeping is the same with or without standbys.
+    replicas: ReplicaManager,
 }
 
 /// Plan-cache key: the kernel program's content digest plus the exact
 /// (dst, src) binding list it was compiled against.
 type PlanKey = (u64, Vec<(String, String)>);
+
+/// One dispatch of a tick: `(stripe, replica, the stripe's ops)`, the
+/// ops shared by every replica of the stripe.
+type WorkItem = (usize, usize, Arc<[RowOp]>);
 
 impl std::fmt::Debug for BulkService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -488,11 +519,14 @@ impl BulkService {
                 scrub_period_s,
             } => Some((drift.clone(), *scrub_period_s)),
         };
+        let replicas = match config.replication.clone() {
+            Some(repl) => ReplicaManager::new(repl, config.shards as usize),
+            None => ReplicaManager::unreplicated(config.shards as usize),
+        };
         // Pool layout is replica-major: member `r · shards + i` is
-        // stripe `i`'s replica `r`, so with replication off (one
-        // replica) member indices coincide with stripe indices and
-        // nothing downstream changes.
-        let replica_count = 1 + config.replication.as_ref().map_or(0, |r| r.standbys) as usize;
+        // stripe `i`'s replica `r`, so a plain pool's (one replica)
+        // member indices coincide with stripe indices.
+        let replica_count = replicas.replicas();
         let mut members: Vec<Mutex<Box<dyn PoolMember>>> =
             Vec::with_capacity(replica_count * config.shards as usize);
         let mut remote_members = 0u32;
@@ -516,12 +550,12 @@ impl BulkService {
                         .find(|&&(s, _)| s == i)
                         .map(|(_, a)| a)
                 } else {
-                    config.replication.as_ref().and_then(|repl| {
-                        repl.remote_standbys
-                            .iter()
-                            .find(|&&(s, sb, _)| s == i && sb as usize == r)
-                            .map(|(_, _, a)| a)
-                    })
+                    replicas
+                        .config()
+                        .remote_standbys
+                        .iter()
+                        .find(|&&(s, sb, _)| s == i && sb as usize == r)
+                        .map(|(_, _, a)| a)
                 };
                 let member: Box<dyn PoolMember> = match addr {
                     None => Box::new(Shard::new(config.technology, config.shard_geometry, tier)),
@@ -574,10 +608,6 @@ impl BulkService {
         telemetry::gauge("serve.remote.shards").set(f64::from(remote_members));
         telemetry::gauge("serve.replica.standbys")
             .set((replica_count - 1) as f64 * f64::from(config.shards));
-        let replicas = config
-            .replication
-            .clone()
-            .map(|repl| ReplicaManager::new(repl, config.shards as usize));
         Ok(Self {
             catalog,
             map,
@@ -670,8 +700,9 @@ impl BulkService {
         self.stats.submitted += 1;
         telemetry::counter("serve.submitted").inc();
 
-        match self.admit(tenant, &op) {
-            Ok((involved, plan)) => {
+        let mnemonic = op.mnemonic();
+        match self.admit(tenant, op) {
+            Ok((involved, op)) => {
                 for &s in &involved {
                     let depth = &mut self.queued_per_shard[s as usize];
                     *depth += 1;
@@ -689,7 +720,6 @@ impl BulkService {
                     attempts: 0,
                     not_before: self.now,
                     involved,
-                    plan,
                     cached_digest: None,
                     cache_fill: false,
                 });
@@ -713,7 +743,7 @@ impl BulkService {
                 self.responses.push(ServeResponse {
                     request: id,
                     tenant,
-                    op: op.mnemonic(),
+                    op: mnemonic,
                     outcome: Err(err.clone()),
                     submitted_tick: self.now,
                     completed_tick: self.now,
@@ -726,21 +756,20 @@ impl BulkService {
     }
 
     /// Validates a submission and returns the shards it will occupy,
-    /// plus the compiled plan for kernel requests (`&mut self` only to
-    /// feed the plan cache).
-    #[allow(clippy::type_complexity)]
+    /// plus the admitted op — kernels compiled (`&mut self` only to feed
+    /// the plan cache).
     fn admit(
         &mut self,
         tenant: TenantId,
-        op: &LogicalOp,
-    ) -> Result<(Vec<u32>, Option<Arc<KernelPlan>>), ServeError> {
+        op: LogicalOp,
+    ) -> Result<(Vec<u32>, AdmittedOp), ServeError> {
         if tenant.0 >= self.config.tenants {
             return Err(ServeError::UnknownTenant {
                 tenant,
                 tenants: self.config.tenants,
             });
         }
-        if let LogicalOp::Write { words, .. } = op {
+        if let LogicalOp::Write { words, .. } = &op {
             if words.is_empty() {
                 return Err(ServeError::EmptyPattern);
             }
@@ -751,7 +780,7 @@ impl BulkService {
         // it out per shard. Compilation is deterministic, so a plan
         // keyed on (program digest, bindings) is reusable verbatim —
         // repeated submissions of the same kernel skip the compiler.
-        let plan = if let LogicalOp::Kernel { program, bindings } = op {
+        let plan = if let LogicalOp::Kernel { program, bindings } = &op {
             let key = (fnv1a_str(program), bindings.clone());
             if let Some(cached) = self.plan_cache.get(&key) {
                 self.stats.plan_cache_hits += 1;
@@ -820,7 +849,11 @@ impl BulkService {
                 });
             }
         }
-        Ok((involved, plan))
+        let admitted = match plan {
+            Some(plan) => AdmittedOp::Kernel { plan, rows },
+            None => AdmittedOp::Op(op),
+        };
+        Ok((involved, admitted))
     }
 
     /// Advances one virtual tick: promote due retries, shed expired
@@ -833,9 +866,7 @@ impl BulkService {
         if batch.is_empty() {
             // Idle ticks still pump replication upkeep: a background
             // rebuild must finish even when no requests arrive.
-            if self.replicas.is_some() {
-                self.replica_maintenance(&[]);
-            }
+            self.replica_maintenance(&[]);
             self.now += 1;
             return 0;
         }
@@ -861,7 +892,7 @@ impl BulkService {
                         telemetry::counter("serve.cache.invalidations").inc();
                     }
                 }
-                if let LogicalOp::Read { src } = &req.op {
+                if let AdmittedOp::Op(LogicalOp::Read { src }) = &req.op {
                     if let Some(&entry) = self.read_cache.get(src) {
                         req.cached_digest = Some(entry);
                         self.stats.cache_hits += 1;
@@ -890,44 +921,36 @@ impl BulkService {
         }
 
         // Dispatch every replica of every stripe (empty batches still
-        // tick the reliability clock) concurrently; reduce in stripe
-        // order. A remote member's dispatch can fail at the transport —
-        // the per-member `Result` carries that without disturbing the
-        // other outcomes. With replication off there is exactly one
-        // work item per stripe and the reduction is the identity.
-        if let Some(mgr) = &mut self.replicas {
-            for (s, ops) in shard_ops.iter().enumerate() {
-                // A mid-rebuild member misses this batch; it replays
-                // from the schedule log when its snapshot lands.
-                mgr.log_schedule(s, self.config.tick_s, ops);
-            }
+        // tick the reliability clock) concurrently, all replicas of a
+        // stripe sharing one copy of its ops; reduce in stripe order. A
+        // remote member's dispatch can fail at the transport — the
+        // per-member `Result` carries that without disturbing the other
+        // outcomes. A plain pool dispatches one work item per stripe.
+        let shard_ops: Vec<Arc<[RowOp]>> = shard_ops.into_iter().map(Arc::from).collect();
+        for (s, ops) in shard_ops.iter().enumerate() {
+            // A mid-rebuild member misses this batch; it replays from
+            // the schedule log when its snapshot lands.
+            self.replicas.log_schedule(s, self.config.tick_s, ops);
         }
-        let work: Arc<Vec<(usize, usize, Vec<RowOp>)>> = match &self.replicas {
-            None => Arc::new(
-                shard_ops
-                    .into_iter()
-                    .enumerate()
-                    .map(|(s, ops)| (s, 0, ops))
-                    .collect(),
-            ),
-            Some(mgr) => Arc::new(
-                shard_ops
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(s, ops)| {
-                        mgr.dispatch_replicas(s)
-                            .into_iter()
-                            .map(move |r| (s, r, ops.clone()))
-                    })
-                    .collect(),
-            ),
-        };
+        let replicas = &self.replicas;
+        let work: Arc<Vec<WorkItem>> = Arc::new(
+            shard_ops
+                .iter()
+                .enumerate()
+                .flat_map(|(s, ops)| {
+                    replicas
+                        .dispatch_replicas(s)
+                        .into_iter()
+                        .map(move |r| (s, r, Arc::clone(ops)))
+                })
+                .collect(),
+        );
         let shards = Arc::clone(&self.shards);
         let tick_s = self.config.tick_s;
         let stripes = shard_count;
         let raw: Vec<Result<ShardBatchOutcome, ServeError>> = self.pool.map(
             &work,
-            Arc::new(move |_i: usize, (s, r, ops): &(usize, usize, Vec<RowOp>)| {
+            Arc::new(move |_i: usize, (s, r, ops): &WorkItem| {
                 lock(&shards[r * stripes + s]).execute(ops, tick_s)
             }),
         );
@@ -957,80 +980,68 @@ impl BulkService {
         for (req, req_spans) in batch.into_iter().zip(spans) {
             self.settle(req, &req_spans, &outcomes);
         }
-        if self.replicas.is_some() {
-            self.replica_maintenance(&outcomes);
-        }
+        self.replica_maintenance(&outcomes);
         self.now += 1;
         dispatched
     }
 
     /// Reduces the raw per-member dispatch results to one outcome per
-    /// stripe. With replication off this is the identity (one item per
-    /// stripe, in stripe order). With replication on, every `Ok`
-    /// outcome folds into its replica's rolling digest, standby energy
-    /// moves to the replica-side account, and the stripe settles from
-    /// its active replica's outcome — unless the active faulted at the
-    /// transport, in which case the first healthy standby is promoted
-    /// *mid-tick* and the stripe settles from its already-computed,
-    /// byte-identical outcome. Exactly one outcome per stripe, exactly
-    /// one response per request, in either case.
+    /// stripe. Every `Ok` outcome folds into its replica's rolling
+    /// digest, standby energy moves to the replica-side account, and the
+    /// stripe settles from its active replica's outcome — unless the
+    /// active faulted at the transport, in which case the first healthy
+    /// standby is promoted *mid-tick* and the stripe settles from its
+    /// already-computed, byte-identical outcome. A plain pool has one
+    /// item per stripe (its primary's), and nothing to digest or
+    /// promote. Exactly one outcome per stripe, exactly one response
+    /// per request, in every case.
     fn reduce_outcomes(
         &mut self,
-        work: &[(usize, usize, Vec<RowOp>)],
+        work: &[WorkItem],
         raw: Vec<Result<ShardBatchOutcome, ServeError>>,
     ) -> Vec<Result<ShardBatchOutcome, ServeError>> {
-        let Some(mgr) = &mut self.replicas else {
-            return raw;
-        };
-        let shard_count = self.config.shards as usize;
-        let mut slots: Vec<Option<Result<ShardBatchOutcome, ServeError>>> =
-            raw.into_iter().map(Some).collect();
-        // (replica, raw index) per stripe, in dispatch order.
-        let mut by_stripe: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shard_count];
-        for (i, &(s, r, _)) in work.iter().enumerate() {
-            by_stripe[s].push((r, i));
-            if let Some(Ok(o)) = &slots[i] {
-                mgr.note_outcome(s, r, o);
+        let mgr = &mut self.replicas;
+        // Work items run stripe-major, so each stripe's results are one
+        // consecutive run of `raw`.
+        let mut raw = work.iter().map(|&(s, r, _)| (s, r)).zip(raw).peekable();
+        let mut reduced = Vec::with_capacity(self.config.shards as usize);
+        for s in 0..self.config.shards as usize {
+            let mut entries = Vec::new();
+            while let Some(((_, r), result)) = raw.next_if(|&((t, _), _)| t == s) {
+                if let Ok(o) = &result {
+                    mgr.note_outcome(s, r, o);
+                }
+                entries.push((r, result));
             }
-        }
-        let mut reduced = Vec::with_capacity(shard_count);
-        for (s, entries) in by_stripe.iter().enumerate() {
             let active = mgr.active_replica(s);
-            let active_idx = entries
+            let mut chosen = entries
                 .iter()
-                .find(|&&(r, _)| r == active)
-                .map(|&(_, i)| i)
+                .position(|&(r, _)| r == active)
                 .expect("the active replica always dispatches");
-            let chosen = if matches!(slots[active_idx], Some(Err(_))) {
+            if entries[chosen].1.is_err() {
                 let healthy: Vec<usize> = entries
                     .iter()
-                    .filter(|&&(r, i)| r != active && matches!(slots[i], Some(Ok(_))))
+                    .filter(|(r, result)| *r != active && result.is_ok())
                     .map(|&(r, _)| r)
                     .collect();
-                match mgr.promote_after_fault(s, &healthy) {
-                    Some(promoted) => {
-                        telemetry::counter("serve.replica.failovers").inc();
-                        entries
-                            .iter()
-                            .find(|&&(r, _)| r == promoted)
-                            .map(|&(_, i)| i)
-                            .expect("promotion picks a dispatched standby")
-                    }
-                    // No standby left: the stripe fails honestly with
-                    // the active's transport error.
-                    None => active_idx,
-                }
-            } else {
-                active_idx
-            };
-            for &(_, i) in entries {
-                if i != chosen {
-                    if let Some(Ok(o)) = &slots[i] {
-                        mgr.add_standby_energy(o.energy_nj);
-                    }
+                // The first healthy standby takes over (`healthy` lists
+                // dispatched replicas only); with none left the stripe
+                // fails honestly with the active's transport error.
+                if let Some(promoted) = mgr.promote_after_fault(s, &healthy) {
+                    telemetry::counter("serve.replica.failovers").inc();
+                    chosen = entries
+                        .iter()
+                        .position(|&(r, _)| r == promoted)
+                        .unwrap_or(chosen);
                 }
             }
-            reduced.push(slots[chosen].take().expect("each slot is taken once"));
+            let (_, outcome) = entries.remove(chosen);
+            for (_, result) in &entries {
+                if let Ok(o) = result {
+                    mgr.add_standby_energy(o.energy_nj);
+                }
+            }
+            reduced.push(outcome);
         }
         reduced
     }
@@ -1042,10 +1053,7 @@ impl BulkService {
     /// `outcomes` is empty on idle ticks (nothing dispatched).
     fn replica_maintenance(&mut self, outcomes: &[Result<ShardBatchOutcome, ServeError>]) {
         let shard_count = self.config.shards as usize;
-        let epoch = self
-            .replicas
-            .as_ref()
-            .is_some_and(|m| m.epoch_due(self.now + 1));
+        let epoch = self.replicas.epoch_due(self.now + 1);
         for s in 0..shard_count {
             let any_uncorrectable = outcomes.get(s).is_some_and(|o| {
                 o.as_ref().is_ok_and(|o| {
@@ -1054,7 +1062,7 @@ impl BulkService {
                         .any(|out| matches!(out, Err(ArchError::Uncorrectable { .. })))
                 })
             });
-            let mgr = self.replicas.as_mut().expect("caller checked");
+            let mgr = &mut self.replicas;
             if mgr.note_active_uncorrectable(s, any_uncorrectable)
                 && mgr.promote_planned(s).is_some()
             {
@@ -1065,10 +1073,8 @@ impl BulkService {
                 for _ in &divergent {
                     telemetry::counter("serve.replica.divergences").inc();
                 }
-                let member = mgr.active_member(s);
-                let health = lock(&self.shards[member]).health();
+                let health = lock(&self.shards[mgr.active_member(s)]).health();
                 if let Ok(health) = health {
-                    let mgr = self.replicas.as_mut().expect("caller checked");
                     if mgr.health_exceeded(&health) && mgr.promote_planned(s).is_some() {
                         telemetry::counter("serve.replica.planned_failovers").inc();
                     }
@@ -1084,14 +1090,13 @@ impl BulkService {
     /// (chunked over the wire for remote members), replays the missed
     /// schedule log, and rejoins the member as a standby.
     fn pump_rebuild(&mut self, s: usize) {
-        let mgr = self.replicas.as_mut().expect("caller checked");
+        let mgr = &mut self.replicas;
         if mgr.rebuild_in_progress(s).is_some() {
             if let Some((replica, snapshot, pending)) = mgr.rebuild_step(s) {
-                let member = mgr.member(s, replica);
                 // A remote member's session may have died with the
                 // fault that retired it — revive opens a fresh session
                 // at the same slot before the snapshot lands.
-                let mut member = lock(&self.shards[member]);
+                let mut member = lock(&self.shards[mgr.member(s, replica)]);
                 let mut ok =
                     member.revive().is_ok() && member.restore_state(&snapshot).unwrap_or(false);
                 let mut replayed = 0;
@@ -1104,7 +1109,6 @@ impl BulkService {
                         replayed += 1;
                     }
                 }
-                let mgr = self.replicas.as_mut().expect("caller checked");
                 mgr.complete_rebuild(s, replica, ok, replayed);
                 if ok {
                     telemetry::counter("serve.replica.rebuilds").inc();
@@ -1117,7 +1121,6 @@ impl BulkService {
             // unavailable snapshot (transport hiccup) retries next tick.
             let snapshot = lock(&self.shards[active]).snapshot_state();
             if let Ok(Some(snapshot)) = snapshot {
-                let mgr = self.replicas.as_mut().expect("caller checked");
                 mgr.begin_rebuild(s, replica, snapshot);
                 telemetry::counter("serve.replica.rebuilds_started").inc();
             }
@@ -1168,10 +1171,7 @@ impl BulkService {
                 shard,
                 "placement and ownership map disagree"
             );
-            let member = self
-                .replicas
-                .as_ref()
-                .map_or(shard.0 as usize, |m| m.active_member(shard.0 as usize));
+            let member = self.replicas.active_member(shard.0 as usize);
             let data = lock(&self.shards[member]).read_local_row(local.0)?;
             rows.push(data);
         }
@@ -1209,7 +1209,7 @@ impl BulkService {
             latency: LatencySummary::from_latencies(latencies),
             energy_mj: self.energy_nj * 1e-6,
             per_shard: self.shard_load.clone(),
-            replica: self.replicas.as_ref().map(|m| *m.stats()),
+            replica: self.replicas.replicated().then_some(*self.replicas.stats()),
         }
     }
 
@@ -1250,20 +1250,13 @@ impl BulkService {
                 if deadline < self.now {
                     self.stats.shed_deadline += 1;
                     telemetry::counter("serve.shed.deadline").inc();
-                    self.release(&req);
-                    self.responses.push(ServeResponse {
-                        request: req.id,
-                        tenant: req.tenant,
-                        op: req.op.mnemonic(),
-                        outcome: Err(ServeError::DeadlineExceeded {
+                    self.respond(
+                        &req,
+                        Err(ServeError::DeadlineExceeded {
                             deadline_tick: deadline,
                             now_tick: self.now,
                         }),
-                        submitted_tick: req.submitted_tick,
-                        completed_tick: self.now,
-                        latency_cycles: self.sim_cycles - req.submit_cycles,
-                        retries: req.attempts,
-                    });
+                    );
                     continue;
                 }
             }
@@ -1281,22 +1274,19 @@ impl BulkService {
     /// Catalog vectors `req` writes (cache-invalidation set).
     fn written_vectors(req: &PendingRequest) -> Vec<&str> {
         match &req.op {
-            LogicalOp::Not { dst, .. }
-            | LogicalOp::Copy { dst, .. }
-            | LogicalOp::And { dst, .. }
-            | LogicalOp::Or { dst, .. }
-            | LogicalOp::Xor { dst, .. }
-            | LogicalOp::Nand { dst, .. }
-            | LogicalOp::Nor { dst, .. }
-            | LogicalOp::Xnor { dst, .. }
-            | LogicalOp::Write { dst, .. } => vec![dst.as_str()],
-            LogicalOp::Read { .. } => Vec::new(),
-            LogicalOp::Kernel { .. } => req
-                .plan
-                .as_ref()
-                .expect("kernels carry their plan")
-                .output_names()
-                .collect(),
+            AdmittedOp::Op(
+                LogicalOp::Not { dst, .. }
+                | LogicalOp::Copy { dst, .. }
+                | LogicalOp::And { dst, .. }
+                | LogicalOp::Or { dst, .. }
+                | LogicalOp::Xor { dst, .. }
+                | LogicalOp::Nand { dst, .. }
+                | LogicalOp::Nor { dst, .. }
+                | LogicalOp::Xnor { dst, .. }
+                | LogicalOp::Write { dst, .. },
+            ) => vec![dst.as_str()],
+            AdmittedOp::Op(LogicalOp::Read { .. } | LogicalOp::Kernel { .. }) => Vec::new(),
+            AdmittedOp::Kernel { plan, .. } => plan.output_names().collect(),
         }
     }
 
@@ -1309,14 +1299,25 @@ impl BulkService {
                 .expect("validated at admission")
                 .clone()
         };
-        match &req.op {
+        let op = match &req.op {
+            AdmittedOp::Kernel { plan, rows } => {
+                let bases: Vec<u64> = plan
+                    .vector_names()
+                    .map(|v| get(v).shard_base[s as usize])
+                    .collect();
+                plan.emit_for_shard(s, shards, *rows, &bases, self.scratch_base, out);
+                return;
+            }
+            AdmittedOp::Op(op) => op,
+        };
+        match op {
             LogicalOp::Not { src, dst } | LogicalOp::Copy { src, dst } => {
                 let (ps, pd) = (get(src), get(dst));
                 let n = ps.rows_on_shard(ShardId(s), shards);
                 for k in 0..n {
                     let a = RowId(ps.shard_base[s as usize] + k);
                     let d = RowId(pd.shard_base[s as usize] + k);
-                    out.push(if matches!(req.op, LogicalOp::Not { .. }) {
+                    out.push(if matches!(op, LogicalOp::Not { .. }) {
                         RowOp::Not { src: a, dst: d }
                     } else {
                         RowOp::Copy { src: a, dst: d }
@@ -1335,7 +1336,7 @@ impl BulkService {
                     let ra = RowId(pa.shard_base[s as usize] + k);
                     let rb = RowId(pb.shard_base[s as usize] + k);
                     let rd = RowId(pd.shard_base[s as usize] + k);
-                    out.push(match req.op {
+                    out.push(match op {
                         LogicalOp::And { .. } => RowOp::And { a: ra, b: rb, dst: rd },
                         LogicalOp::Or { .. } => RowOp::Or { a: ra, b: rb, dst: rd },
                         LogicalOp::Xor { .. } => RowOp::Xor { a: ra, b: rb, dst: rd },
@@ -1374,19 +1375,8 @@ impl BulkService {
                     });
                 }
             }
-            LogicalOp::Kernel { .. } => {
-                let plan = req.plan.as_ref().expect("kernels carry their plan");
-                let bases: Vec<u64> = plan
-                    .vector_names()
-                    .map(|v| get(v).shard_base[s as usize])
-                    .collect();
-                let rows = plan
-                    .vector_names()
-                    .next()
-                    .map(|v| get(v).rows)
-                    .expect("plans touch at least one vector");
-                plan.emit_for_shard(s, shards, rows, &bases, self.scratch_base, out);
-            }
+            // Admitted as `AdmittedOp::Kernel`, handled above.
+            LogicalOp::Kernel { .. } => {}
         }
     }
 
@@ -1411,17 +1401,7 @@ impl BulkService {
                 self.stats.transport_errors += 1;
                 telemetry::counter("serve.failed").inc();
                 telemetry::counter("serve.transport_errors").inc();
-                self.release(&req);
-                self.responses.push(ServeResponse {
-                    request: req.id,
-                    tenant: req.tenant,
-                    op: req.op.mnemonic(),
-                    outcome: Err(err.clone()),
-                    submitted_tick: req.submitted_tick,
-                    completed_tick: self.now,
-                    latency_cycles: self.sim_cycles - req.submit_cycles,
-                    retries: req.attempts,
-                });
+                self.respond(&req, Err(err.clone()));
                 return;
             }
         }
@@ -1449,11 +1429,11 @@ impl BulkService {
         match first_error {
             None => {
                 let payload = match (&req.op, req.cached_digest) {
-                    (LogicalOp::Read { .. }, Some((rows, digest))) => {
+                    (AdmittedOp::Op(LogicalOp::Read { .. }), Some((rows, digest))) => {
                         // Served from the digest cache: no row was read.
                         ResponsePayload::Digest { rows, digest }
                     }
-                    (LogicalOp::Read { src }, None) => {
+                    (AdmittedOp::Op(LogicalOp::Read { src }), None) => {
                         let placement = self
                             .catalog
                             .get(src)
@@ -1481,18 +1461,7 @@ impl BulkService {
                             digest,
                         }
                     }
-                    (LogicalOp::Kernel { .. }, _) => {
-                        let plan = req.plan.as_ref().expect("kernels carry their plan");
-                        let rows = plan
-                            .vector_names()
-                            .next()
-                            .map(|v| {
-                                self.catalog
-                                    .get(v)
-                                    .expect("validated at admission")
-                                    .rows
-                            })
-                            .expect("plans touch at least one vector");
+                    (AdmittedOp::Kernel { plan, rows }, _) => {
                         let fused_ops = plan.vector_ops() * rows;
                         self.stats.kernels += 1;
                         telemetry::counter("serve.kernel.requests").inc();
@@ -1508,19 +1477,9 @@ impl BulkService {
                 };
                 self.stats.completed += 1;
                 telemetry::counter("serve.completed").inc();
-                let latency = self.sim_cycles - req.submit_cycles;
-                telemetry::histogram("serve.latency_cycles").record(latency);
-                self.release(&req);
-                self.responses.push(ServeResponse {
-                    request: req.id,
-                    tenant: req.tenant,
-                    op: req.op.mnemonic(),
-                    outcome: Ok(payload),
-                    submitted_tick: req.submitted_tick,
-                    completed_tick: self.now,
-                    latency_cycles: latency,
-                    retries: req.attempts,
-                });
+                telemetry::histogram("serve.latency_cycles")
+                    .record(self.sim_cycles - req.submit_cycles);
+                self.respond(&req, Ok(payload));
             }
             Some(err @ ArchError::Uncorrectable { .. })
                 if req.attempts < self.config.max_retries =>
@@ -1555,27 +1514,28 @@ impl BulkService {
                     },
                     other => ServeError::Backend { source: other },
                 };
-                self.release(&req);
-                self.responses.push(ServeResponse {
-                    request: req.id,
-                    tenant: req.tenant,
-                    op: req.op.mnemonic(),
-                    outcome: Err(outcome),
-                    submitted_tick: req.submitted_tick,
-                    completed_tick: self.now,
-                    latency_cycles: self.sim_cycles - req.submit_cycles,
-                    retries: req.attempts,
-                });
+                self.respond(&req, Err(outcome));
             }
         }
     }
 
-    /// Releases a settled request's queue accounting.
-    fn release(&mut self, req: &PendingRequest) {
+    /// Settles `req` for good: releases its queue accounting and logs
+    /// its one response, completed now.
+    fn respond(&mut self, req: &PendingRequest, outcome: Result<ResponsePayload, ServeError>) {
         for &s in &req.involved {
             self.queued_per_shard[s as usize] -= 1;
         }
         self.queued_per_tenant[req.tenant.0 as usize] -= 1;
+        self.responses.push(ServeResponse {
+            request: req.id,
+            tenant: req.tenant,
+            op: req.op.mnemonic(),
+            outcome,
+            submitted_tick: req.submitted_tick,
+            completed_tick: self.now,
+            latency_cycles: self.sim_cycles - req.submit_cycles,
+            retries: req.attempts,
+        });
     }
 }
 

@@ -639,3 +639,93 @@ fn kernel_write_back_preserves_read_before_write_order() {
     let d = svc.read_vector("d").expect("readable");
     assert_eq!(d[0][0], 0xAAAA, "d must hold OLD a; got {:#x}", d[0][0]);
 }
+
+/// Runs one fixed plain-pool campaign (no replication) and returns the
+/// FNV-1a digest of its serialised response log followed by its
+/// serialised report.
+fn plain_pool_digest(tier: ServiceTier) -> u64 {
+    let mut config = ServiceConfig::small(2);
+    config.tier = tier;
+    config.tenant_quota = Some(32);
+    assert!(config.read_cache && config.replication.is_none());
+    let mut service = build(config);
+    for name in ["a", "b", "c", "d"] {
+        service.create_vector(name, 8).expect("fits");
+    }
+    let t = TenantId(0);
+    let binary = |op: fn(String, String, String) -> LogicalOp, a: &str, b: &str, d: &str| {
+        op(a.into(), b.into(), d.into())
+    };
+    let rounds: Vec<Vec<LogicalOp>> = vec![
+        vec![
+            LogicalOp::Write {
+                dst: "a".into(),
+                words: vec![0xDEAD_BEEF_0123_4567, 7],
+            },
+            LogicalOp::Write {
+                dst: "b".into(),
+                words: vec![0x0F0F_F0F0_AAAA_5555],
+            },
+            LogicalOp::Write {
+                dst: "c".into(),
+                words: vec![0x8844_2211_CCCC_3333, 1, 2],
+            },
+        ],
+        vec![
+            binary(|a, b, dst| LogicalOp::And { a, b, dst }, "a", "b", "d"),
+            LogicalOp::Read { src: "d".into() },
+            binary(|a, b, dst| LogicalOp::Xor { a, b, dst }, "d", "c", "b"),
+            binary(|a, b, dst| LogicalOp::Nor { a, b, dst }, "a", "c", "c"),
+        ],
+        vec![
+            LogicalOp::Read { src: "d".into() }, // cache hit
+            LogicalOp::Read { src: "b".into() },
+            LogicalOp::Kernel {
+                program: "t = a & b\nd = (t ^ ~c) | a\nc = c ^ t".into(),
+                bindings: ["a", "b", "c", "d"]
+                    .iter()
+                    .map(|n| (n.to_string(), n.to_string()))
+                    .collect(),
+            },
+            LogicalOp::Not {
+                src: "d".into(),
+                dst: "a".into(),
+            },
+        ],
+        vec![
+            LogicalOp::Read { src: "b".into() }, // cache hit
+            LogicalOp::Read { src: "d".into() }, // invalidated by the kernel
+            binary(|a, b, dst| LogicalOp::Or { a, b, dst }, "a", "c", "d"),
+            LogicalOp::Read { src: "d".into() },
+        ],
+    ];
+    for round in rounds {
+        for op in round {
+            service.submit(t, op, None).expect("admitted");
+        }
+        service.drain();
+    }
+    let report = serde_json::to_string(&service.report()).expect("report serializes");
+    let log = serde_json::to_string(&service.take_responses()).expect("log serializes");
+    felim::exec::fnv1a_str(&(log + &report))
+}
+
+#[test]
+fn plain_pool_log_and_report_bytes_are_pinned() {
+    // Pins the plain (unreplicated) pool's observable bytes across
+    // refactors of the dispatch path: any drift in responses, latencies,
+    // simulated cycles, energy or counters changes the digest.
+    let baseline = plain_pool_digest(ServiceTier::Baseline);
+    let protected = plain_pool_digest(ServiceTier::Protected {
+        drift: DriftSpec::accelerated(29, 360.0, 1e-3),
+        scrub_period_s: 2e-3,
+    });
+    assert_eq!(
+        baseline, 0xb4fb_0370_dc2b_a6ed,
+        "baseline digest {baseline:#018x}"
+    );
+    assert_eq!(
+        protected, 0xb387_86c9_ff01_cca2,
+        "protected digest {protected:#018x}"
+    );
+}
