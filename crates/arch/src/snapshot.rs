@@ -17,9 +17,11 @@
 //!   which emits them sorted by key, so
 //!   `snapshot(restore(snapshot(x))) == snapshot(x)` byte for byte;
 //! * **allocation guards** — count-prefixed runs are read only through
-//!   [`take_run`], which checks the count against the remaining input
-//!   before allocating, so a corrupt, truncated or crafted snapshot is
-//!   rejected (`None`) instead of panicking or aborting.
+//!   [`take_run`], or its two specialisations for flat runs
+//!   ([`take_words`], [`take_bytes`]), each of which checks the count
+//!   against the remaining input before allocating, so a corrupt,
+//!   truncated or crafted snapshot is rejected (`None`) instead of
+//!   panicking or aborting.
 
 use std::collections::HashMap;
 
@@ -84,18 +86,32 @@ pub fn take_bool(buf: &[u8], pos: &mut usize) -> Option<bool> {
     }
 }
 
-/// Appends a word slice as a count-prefixed run.
+/// Appends a word slice as a count-prefixed run: one reservation, then
+/// a little-endian copy of each word into the reserved bytes. Every row
+/// payload (batches, wire frames, snapshots) is written here.
 pub fn put_words(out: &mut Vec<u8>, words: &[u64]) {
     put_u64(out, words.len() as u64);
-    for &w in words {
-        put_u64(out, w);
+    let start = out.len();
+    out.resize(start + 8 * words.len(), 0);
+    for (dst, w) in out[start..].as_chunks_mut::<8>().0.iter_mut().zip(words) {
+        *dst = w.to_le_bytes();
     }
 }
 
 /// Reads a count-prefixed word run. `None` on short input or a count
-/// that exceeds the remaining bytes (see [`take_run`]).
+/// that exceeds the remaining bytes, checked before allocating exactly
+/// as [`take_run`] checks it; the words then decode from one
+/// bounds-checked slice, eight bytes at a time.
 pub fn take_words(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
-    take_run(buf, pos, 8, take_u64)
+    let n = take_u64(buf, pos)?;
+    let rest = &buf[*pos..];
+    if n > (rest.len() / 8) as u64 {
+        return None;
+    }
+    let (words, _) = rest.as_chunks::<8>();
+    let words = &words[..n as usize];
+    *pos += 8 * words.len();
+    Some(words.iter().map(|&w| u64::from_le_bytes(w)).collect())
 }
 
 /// Appends a map as a count-prefixed run of entries sorted by key, each
@@ -146,7 +162,7 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 /// Reads a count-prefixed byte run, with the same allocation guard as
-/// [`take_words`].
+/// [`take_run`].
 pub fn take_bytes(buf: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
     let n = take_u64(buf, pos)?;
     if ((buf.len() - *pos) as u64) < n {
@@ -232,6 +248,46 @@ mod tests {
         let mut pos = 0;
         assert_eq!(take_run(&buf, &mut pos, 12, entry), Some(map));
         assert_eq!(pos, buf.len());
+    }
+
+    /// The chunked `take_words` against the per-word `take_run` it
+    /// replaced: same result and same `pos` on whole, truncated and
+    /// random inputs and on absurd counts.
+    #[test]
+    fn take_words_matches_the_per_word_run_decoder() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state ^ (state >> 29)
+        };
+        let check = |buf: &[u8], start: usize| {
+            let (mut a, mut b) = (start, start);
+            let got = take_words(buf, &mut a);
+            let want: Option<Vec<u64>> = take_run(buf, &mut b, 8, take_u64);
+            assert_eq!(got, want, "start {start} of {} bytes", buf.len());
+            assert_eq!(a, b, "pos after start {start} of {} bytes", buf.len());
+        };
+        for len in 0..40 {
+            let words: Vec<u64> = (0..len).map(|_| next()).collect();
+            let mut buf = vec![0xEE; (next() % 3) as usize];
+            let start = buf.len();
+            put_words(&mut buf, &words);
+            for cut in start..=buf.len() {
+                check(&buf[..cut], start);
+            }
+            let random: Vec<u8> = (0..next() % 200).map(|_| next() as u8).collect();
+            for start in 0..=random.len().min(9) {
+                check(&random, start);
+            }
+        }
+        for count in [u64::MAX, u64::MAX >> 1, 1 << 40, 1 << 61, 3, 4] {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, count);
+            buf.extend_from_slice(&[7; 24]);
+            check(&buf, 0);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Remote shards: TCP clients, the pool-member trait local and remote
 //! shards share, and the daemon-side session loop behind `felim-shardd`.
 //!
-//! The [`wire`](crate::wire) module defines *what* crosses the link;
+//! The [`wire`] module defines *what* crosses the link;
 //! this module defines *who talks*:
 //!
 //! * [`RemoteShard`] — the client end: one persistent `TcpStream` per
@@ -34,7 +34,7 @@
 //! [`BulkService`]: crate::BulkService
 
 use crate::shard::{Shard, ShardBatchOutcome, Technology};
-use crate::wire::{Frame, TransportErrorKind, WireError, WIRE_VERSION};
+use crate::wire::{self, Frame, TransportErrorKind, WireError, WIRE_VERSION};
 use crate::ServeError;
 use felim_arch::batch::RowOp;
 use felim_arch::drift::DriftSpec;
@@ -93,6 +93,9 @@ pub struct RemoteShard {
     peer: String,
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Send and receive buffers, reused by every frame of the session.
+    tx: Vec<u8>,
+    rx: Vec<u8>,
     next_seq: u64,
     /// Sequence numbers written but not yet answered, oldest first —
     /// replies must arrive in exactly this order.
@@ -210,6 +213,8 @@ impl RemoteShard {
             peer: addr.to_owned(),
             reader,
             writer: BufWriter::new(stream),
+            tx: Vec::new(),
+            rx: Vec::new(),
             next_seq: 0,
             inflight: VecDeque::new(),
             data_rows: 0,
@@ -310,15 +315,22 @@ impl RemoteShard {
     }
 
     fn write_frame(&mut self, frame: &Frame) -> Result<(), ServeError> {
+        self.send(|w, buf| frame.write_with(w, buf))
+    }
+
+    /// Runs one frame writer against the session's stream and send
+    /// buffer, poisoning the session when it fails.
+    fn send(
+        &mut self,
+        write: impl FnOnce(&mut BufWriter<TcpStream>, &mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<(), ServeError> {
         self.check_poison()?;
-        frame
-            .write_to(&mut self.writer)
-            .map_err(|e| self.poison(e))
+        write(&mut self.writer, &mut self.tx).map_err(|e| self.poison(e))
     }
 
     fn read_frame(&mut self) -> Result<Frame, ServeError> {
         self.check_poison()?;
-        Frame::read_from(&mut self.reader).map_err(|e| self.poison(e))
+        Frame::read_with(&mut self.reader, &mut self.rx).map_err(|e| self.poison(e))
     }
 
     /// Writes one batch frame **without waiting for its reply** and
@@ -330,11 +342,7 @@ impl RemoteShard {
     /// [`ServeError::Transport`] on a poisoned session or write failure.
     pub fn send_batch(&mut self, ops: &[RowOp], tick_s: f64) -> Result<u64, ServeError> {
         let seq = self.next_seq;
-        self.write_frame(&Frame::Batch {
-            seq,
-            tick_s,
-            ops: ops.to_vec(),
-        })?;
+        self.send(|w, buf| wire::write_batch(w, buf, seq, tick_s, ops))?;
         self.next_seq += 1;
         self.inflight.push_back(seq);
         telemetry::counter("serve.remote.batches_sent").inc();
@@ -576,7 +584,7 @@ impl RemoteShard {
     /// the shard either way when the stream closes.
     pub fn shutdown(&mut self) {
         if self.poisoned.is_none() {
-            let _ = Frame::Shutdown.write_to(&mut self.writer);
+            let _ = Frame::Shutdown.write_with(&mut self.writer, &mut self.tx);
         }
     }
 }
@@ -743,6 +751,7 @@ pub type SlotRegistry = Arc<Mutex<HashMap<u64, Arc<Mutex<Shard>>>>>;
 #[derive(Debug)]
 pub struct ShardHost {
     listener: TcpListener,
+    addr: SocketAddr,
     registry: SlotRegistry,
 }
 
@@ -753,19 +762,18 @@ impl ShardHost {
     ///
     /// The bind failure, verbatim.
     pub fn bind(addr: &str) -> std::io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
         Ok(Self {
-            listener: TcpListener::bind(addr)?,
+            addr: listener.local_addr()?,
+            listener,
             registry: Arc::new(Mutex::new(HashMap::new())),
         })
     }
 
-    /// The bound address (what to advertise to clients).
-    ///
-    /// # Panics
-    ///
-    /// Never in practice: a bound listener has a local address.
+    /// The bound address (what to advertise to clients), as recorded by
+    /// [`bind`](Self::bind).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("bound listener has an address")
+        self.addr
     }
 
     /// Accepts and serves exactly one session on the calling thread.
@@ -807,6 +815,11 @@ impl ShardHost {
 /// refused (`data_rows == 0` ack) when the slot is empty. Wire failures
 /// end the session quietly — the client side owns turning them into
 /// typed errors; the shard stays in the registry for a later resume.
+///
+/// A snapshot pull is encoded once, at its offset-0 chunk, and later
+/// chunks are cut from that copy, so pulling *S* bytes encodes *S*
+/// bytes rather than one snapshot per chunk. Any other frame drops the
+/// copy, so a pull restarted after a batch sees the batch.
 pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
@@ -814,11 +827,13 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
         Err(_) => return,
     });
     let mut writer = BufWriter::new(stream);
+    // Send and receive buffers, reused by every frame of the session.
+    let (mut tx, mut rx) = (Vec::new(), Vec::new());
 
     // Handshake: exactly one Hello, answered even on version mismatch
     // so the client can diagnose `VersionMismatch` instead of a dead
     // socket.
-    let shard: Arc<Mutex<Shard>> = match Frame::read_from(&mut reader) {
+    let shard: Arc<Mutex<Shard>> = match Frame::read_with(&mut reader, &mut rx) {
         Ok(Frame::Hello {
             version,
             technology,
@@ -827,15 +842,15 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
             slot,
             resume,
         }) => {
-            let refuse = |writer: &mut BufWriter<TcpStream>| {
+            let mut refuse = || {
                 let _ = Frame::HelloAck {
                     version: WIRE_VERSION,
                     data_rows: 0,
                 }
-                .write_to(writer);
+                .write_with(&mut writer, &mut tx);
             };
             if version != WIRE_VERSION || geometry.validate().is_err() {
-                refuse(&mut writer);
+                refuse();
                 return;
             }
             let mut slots = lock(registry);
@@ -844,7 +859,7 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
                     Some(existing) => Arc::clone(existing),
                     None => {
                         drop(slots);
-                        refuse(&mut writer);
+                        refuse();
                         return;
                     }
                 }
@@ -861,7 +876,7 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
         version: WIRE_VERSION,
         data_rows,
     };
-    if ack.write_to(&mut writer).is_err() {
+    if ack.write_with(&mut writer, &mut tx).is_err() {
         return;
     }
     telemetry::counter("serve.remote.sessions").inc();
@@ -870,54 +885,73 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
     // restored atomically when complete.
     let mut push_buf: Vec<u8> = Vec::new();
     let mut push_total: u64 = 0;
+    // The snapshot a pull in progress is served from: encoded once at
+    // offset 0 (or at the first pull of the session), dropped after its
+    // last chunk or when any other frame arrives, so a pull never sees
+    // state older than the frames before it.
+    let mut pulling: Option<Vec<u8>> = None;
 
     loop {
-        match Frame::read_from(&mut reader) {
-            Ok(Frame::Batch { seq, tick_s, ops }) => {
+        let frame = match Frame::read_with(&mut reader, &mut rx) {
+            Ok(frame) => frame,
+            // Any wire failure ends the session; the shard stays
+            // registered for a resume.
+            Err(_) => return,
+        };
+        if !matches!(frame, Frame::SnapshotPull { .. }) {
+            pulling = None;
+        }
+        let sent = match frame {
+            Frame::Batch { seq, tick_s, ops } => {
                 let outcome = lock(&shard).execute(&ops, tick_s);
-                let reply = Frame::BatchReply { seq, outcome };
-                if reply.write_to(&mut writer).is_err() {
-                    return;
-                }
+                Frame::BatchReply { seq, outcome }.write_with(&mut writer, &mut tx)
             }
-            Ok(Frame::ReadRow { seq, row }) => {
+            Frame::ReadRow { seq, row } => {
                 let result = lock(&shard).read_local_row(row);
-                let reply = Frame::ReadRowReply { seq, result };
-                if reply.write_to(&mut writer).is_err() {
-                    return;
-                }
+                Frame::ReadRowReply { seq, result }.write_with(&mut writer, &mut tx)
             }
-            Ok(Frame::SnapshotPull { seq, offset, max_len }) => {
-                let snapshot = lock(&shard).snapshot_state();
-                let reply = match snapshot {
-                    None => Frame::SnapshotChunk {
-                        seq,
-                        offset: 0,
-                        total_len: 0,
-                        data: Vec::new(),
-                    },
+            Frame::SnapshotPull {
+                seq,
+                offset,
+                max_len,
+            } => {
+                if offset == 0 || pulling.is_none() {
+                    pulling = lock(&shard).snapshot_state();
+                }
+                let (reply, last) = match &pulling {
+                    None => (
+                        Frame::SnapshotChunk {
+                            seq,
+                            offset: 0,
+                            total_len: 0,
+                            data: Vec::new(),
+                        },
+                        true,
+                    ),
                     Some(snap) => {
                         let total_len = snap.len() as u64;
                         let start = offset.min(total_len);
                         let end = start.saturating_add(max_len).min(total_len);
-                        Frame::SnapshotChunk {
+                        let chunk = Frame::SnapshotChunk {
                             seq,
                             offset: start,
                             total_len,
                             data: snap[start as usize..end as usize].to_vec(),
-                        }
+                        };
+                        (chunk, end == total_len)
                     }
                 };
-                if reply.write_to(&mut writer).is_err() {
-                    return;
+                if last {
+                    pulling = None;
                 }
+                reply.write_with(&mut writer, &mut tx)
             }
-            Ok(Frame::SnapshotPush {
+            Frame::SnapshotPush {
                 seq,
                 offset,
                 total_len,
                 data,
-            }) => {
+            } => {
                 // Chunks must arrive in order and agree on the total;
                 // anything else aborts the transfer (the client sees
                 // `ok = false` and owns the retry).
@@ -940,29 +974,26 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
                         true
                     }
                 };
-                let reply = Frame::SnapshotPushAck { seq, ok };
-                if reply.write_to(&mut writer).is_err() {
-                    return;
-                }
+                Frame::SnapshotPushAck { seq, ok }.write_with(&mut writer, &mut tx)
             }
-            Ok(Frame::Health { seq }) => {
+            Frame::Health { seq } => {
                 let h = lock(&shard).health();
-                let reply = Frame::HealthReply {
+                Frame::HealthReply {
                     seq,
                     uncorrectable_words: h.uncorrectable_words,
                     corrected_bits: h.corrected_bits,
                     scrub_rewrites: h.scrub_rewrites,
                     drift_flips: h.drift_flips,
                     max_wear_fraction: h.max_wear_fraction,
-                };
-                if reply.write_to(&mut writer).is_err() {
-                    return;
                 }
+                .write_with(&mut writer, &mut tx)
             }
-            Ok(Frame::Shutdown) => return,
-            // A second Hello, a reply frame, or any wire failure ends
-            // the session; the shard stays registered for a resume.
+            // Shutdown, a second Hello or a reply frame ends the
+            // session; the shard stays registered for a resume.
             _ => return,
+        };
+        if sent.is_err() {
+            return;
         }
     }
 }
@@ -989,7 +1020,11 @@ impl ShardHostChild {
             .args(["--listen", "127.0.0.1:0"])
             .stdout(std::process::Stdio::piped())
             .spawn()?;
-        let stdout = child.stdout.take().expect("stdout was piped");
+        let Some(stdout) = child.stdout.take() else {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(std::io::Error::other("shardd stdout was not captured"));
+        };
         let mut line = String::new();
         BufReader::new(stdout).read_line(&mut line)?;
         let addr = match line.trim().strip_prefix("LISTENING ") {
@@ -1276,6 +1311,127 @@ mod tests {
         // Dropping the session itself sends Shutdown, which ends the
         // host's session and lets its thread finish.
         drop(remote);
+        handle.join().unwrap();
+    }
+
+    /// A 2 MiB array of 1 KiB rows with its first `rows` rows written.
+    fn filled(rows: u64) -> (MemoryGeometry, Vec<RowOp>) {
+        let geometry = MemoryGeometry {
+            capacity_bytes: 2 << 20,
+            row_bytes: 1 << 10,
+            rows_per_subarray: 64,
+        };
+        let ops = (0..rows)
+            .map(|r| RowOp::Write {
+                row: RowId(r),
+                data: (0..128).map(|w| r << 32 | w).collect(),
+            })
+            .collect();
+        (geometry, ops)
+    }
+
+    #[test]
+    fn multi_chunk_snapshot_pull_equals_the_local_snapshot() {
+        let (addr, handle) = host(1);
+        let (geometry, ops) = filled(1500);
+        let mut local = Shard::new(Technology::Feram, geometry, None);
+        let mut remote = RemoteShard::connect(
+            &addr.to_string(),
+            Technology::Feram,
+            geometry,
+            None,
+            ConnectRetry::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            remote.execute(&ops, 1e-3).unwrap(),
+            local.execute(&ops, 1e-3)
+        );
+        let want = local.snapshot_state().unwrap();
+        assert!(
+            want.len() as u64 > SNAPSHOT_CHUNK_LEN,
+            "{} bytes fit one chunk",
+            want.len()
+        );
+        assert_eq!(remote.fetch_snapshot().unwrap(), Some(want));
+        drop(remote);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_batch_between_raw_pulls_shows_in_the_next_pull() {
+        const CHUNK: u64 = 64;
+        let (addr, handle) = host(1);
+        let (geometry, ops) = filled(8);
+        let mut local = Shard::new(Technology::Feram, geometry, None);
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        let mut call = |frame: Frame| {
+            frame.write_to(&mut writer).unwrap();
+            Frame::read_from(&mut reader).unwrap()
+        };
+        let hello = Frame::Hello {
+            version: WIRE_VERSION,
+            technology: Technology::Feram,
+            geometry,
+            tier: None,
+            slot: 0,
+            resume: false,
+        };
+        assert!(matches!(call(hello), Frame::HelloAck { .. }));
+        // One pull of up to CHUNK bytes at `offset`: (total_len, data).
+        let pull = |call: &mut dyn FnMut(Frame) -> Frame, offset: u64| {
+            let max_len = CHUNK;
+            match call(Frame::SnapshotPull {
+                seq: 0,
+                offset,
+                max_len,
+            }) {
+                Frame::SnapshotChunk {
+                    offset: got,
+                    total_len,
+                    data,
+                    ..
+                } if got == offset => (total_len, data),
+                other => panic!("expected snapshot_chunk at {offset}, got {other:?}"),
+            }
+        };
+        let chunk = |snap: &[u8], at: usize| {
+            (
+                snap.len() as u64,
+                snap[at..(at + CHUNK as usize).min(snap.len())].to_vec(),
+            )
+        };
+
+        let before = local.snapshot_state().unwrap();
+        assert!(
+            before.len() as u64 > 2 * CHUNK,
+            "the first pull must leave chunks to serve"
+        );
+        assert_eq!(pull(&mut call, 0), chunk(&before, 0));
+        local.execute(&ops, 1e-3);
+        let after = local.snapshot_state().unwrap();
+        assert_ne!(before, after);
+        assert!(matches!(
+            call(Frame::Batch {
+                seq: 1,
+                tick_s: 1e-3,
+                ops
+            }),
+            Frame::BatchReply { .. }
+        ));
+        // The batch dropped the pull's cached snapshot: a pull resumed
+        // mid-way reads the new state, and so does a restarted one.
+        assert_eq!(pull(&mut call, CHUNK), chunk(&after, CHUNK as usize));
+        assert_eq!(pull(&mut call, 0), chunk(&after, 0));
+        // Back-to-back chunks assemble to the snapshot.
+        let mut pulled = Vec::new();
+        while pulled.len() < after.len() {
+            pulled.extend(pull(&mut call, pulled.len() as u64).1);
+        }
+        assert_eq!(pulled, after);
+        Frame::Shutdown.write_to(&mut writer).unwrap();
         handle.join().unwrap();
     }
 

@@ -30,6 +30,25 @@
 //!   matters operationally: the first is a dead shardd, the second a
 //!   cut mid-sentence.
 //!
+//! # Cost per byte
+//!
+//! Nearly every byte on the wire is row payload, so the codec runs at
+//! memory speed and no byte of it changed to get there:
+//!
+//! * [`crc32`] is slice-by-8: eight table lookups fold eight payload
+//!   bytes per step.
+//! * Row words move through `felim_arch::snapshot::{put_words,
+//!   take_words}` as one reservation and one bounds-checked slice.
+//! * A session keeps one send and one receive buffer for its lifetime
+//!   (`Frame::write_with`, `Frame::read_with`): a frame is encoded
+//!   behind a reserved length slot, patched, CRC'd and written with one
+//!   `write_all`, and a received frame lands in the buffer the last one
+//!   used. A client's batch is encoded straight from the borrowed
+//!   schedule, never copied into an owned [`Frame::Batch`].
+//! * The daemon encodes a pulled snapshot once per transfer and serves
+//!   every [`Frame::SnapshotChunk`] from that copy (see
+//!   [`run_session_mux`](crate::remote::run_session_mux)).
+//!
 //! Sessions open with a [`Frame::Hello`] / [`Frame::HelloAck`]
 //! handshake pinning [`WIRE_VERSION`] and the shard's construction
 //! parameters (technology, geometry, reliability tier **with the
@@ -80,10 +99,45 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// IEEE CRC-32 of `bytes` (the zlib/ethernet polynomial).
+/// Slice-by-8 tables: `CRC_TABLES[k][b]` is the CRC register after
+/// byte `b` is followed by `k` zero bytes, so eight table lookups fold
+/// eight input bytes at once. `CRC_TABLES[0]` is [`CRC_TABLE`].
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    t[0] = CRC_TABLE;
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = CRC_TABLE[(prev & 0xFF) as usize] ^ (prev >> 8);
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// IEEE CRC-32 of `bytes` (the zlib/ethernet polynomial), slice-by-8:
+/// eight bytes per step through `CRC_TABLES`, then the bytewise
+/// table loop over the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
+    let (chunks, tail) = bytes.as_chunks::<8>();
+    for chunk in chunks {
+        let v = u64::from_le_bytes(*chunk) ^ u64::from(c);
+        let (lo, hi) = (v as u32, (v >> 32) as u32);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in tail {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
@@ -460,6 +514,66 @@ pub(crate) fn encode_outcome(out: &mut Vec<u8>, o: &ShardBatchOutcome) {
     put_outcome(out, o);
 }
 
+/// A [`Frame::Batch`] payload from a borrowed schedule.
+fn put_batch(out: &mut Vec<u8>, seq: u64, tick_s: f64, ops: &[RowOp]) {
+    out.push(TAG_BATCH);
+    put_u64(out, seq);
+    put_f64(out, tick_s);
+    put_u64(out, ops.len() as u64);
+    for op in ops {
+        op.encode(out);
+    }
+}
+
+/// Frames the payload `encode` appends and writes it with one
+/// `write_all`, then flushes. `buf` is the session's send buffer:
+/// cleared here, it takes the 4-byte length slot, the payload and the
+/// CRC, so a frame costs no allocation once the buffer has grown to the
+/// session's largest frame. `name` labels errors.
+fn write_framed(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    name: &str,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    encode(buf);
+    let len = buf.len() - 4;
+    if len > MAX_FRAME {
+        return Err(WireError::new(
+            TransportErrorKind::Oversize,
+            format!("{len}-byte {name} frame exceeds {MAX_FRAME}"),
+        ));
+    }
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&buf[4..]);
+    put_u32(buf, crc);
+    w.write_all(buf).and_then(|()| w.flush()).map_err(|e| {
+        WireError::new(
+            TransportErrorKind::PeerLost,
+            format!("writing {name} frame: {e}"),
+        )
+    })
+}
+
+/// Writes a [`Frame::Batch`] straight from a borrowed schedule — the
+/// same bytes as [`Frame::write_with`] on the owned frame, without
+/// copying `ops` into one.
+///
+/// # Errors
+///
+/// As for [`Frame::write_to`].
+pub(crate) fn write_batch(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    seq: u64,
+    tick_s: f64,
+    ops: &[RowOp],
+) -> Result<(), WireError> {
+    write_framed(w, buf, "batch", |out| put_batch(out, seq, tick_s, ops))
+}
+
 impl Frame {
     /// Short name of the frame type (diagnostics, `Protocol` errors).
     pub fn name(&self) -> &'static str {
@@ -484,6 +598,12 @@ impl Frame {
     /// CRC covers.
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the payload (tag + body) to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Hello {
                 version,
@@ -494,64 +614,56 @@ impl Frame {
                 resume,
             } => {
                 out.push(TAG_HELLO);
-                put_u32(&mut out, *version);
-                put_technology(&mut out, *technology);
-                put_geometry(&mut out, geometry);
+                put_u32(out, *version);
+                put_technology(out, *technology);
+                put_geometry(out, geometry);
                 match tier {
                     None => out.push(0),
                     Some((drift, scrub_period_s)) => {
                         out.push(1);
-                        put_drift(&mut out, drift);
-                        put_f64(&mut out, *scrub_period_s);
+                        put_drift(out, drift);
+                        put_f64(out, *scrub_period_s);
                     }
                 }
-                put_u64(&mut out, *slot);
+                put_u64(out, *slot);
                 out.push(u8::from(*resume));
             }
             Frame::HelloAck { version, data_rows } => {
                 out.push(TAG_HELLO_ACK);
-                put_u32(&mut out, *version);
-                put_u64(&mut out, *data_rows);
+                put_u32(out, *version);
+                put_u64(out, *data_rows);
             }
-            Frame::Batch { seq, tick_s, ops } => {
-                out.push(TAG_BATCH);
-                put_u64(&mut out, *seq);
-                put_f64(&mut out, *tick_s);
-                put_u64(&mut out, ops.len() as u64);
-                for op in ops {
-                    op.encode(&mut out);
-                }
-            }
+            Frame::Batch { seq, tick_s, ops } => put_batch(out, *seq, *tick_s, ops),
             Frame::BatchReply { seq, outcome } => {
                 out.push(TAG_BATCH_REPLY);
-                put_u64(&mut out, *seq);
-                put_outcome(&mut out, outcome);
+                put_u64(out, *seq);
+                put_outcome(out, outcome);
             }
             Frame::ReadRow { seq, row } => {
                 out.push(TAG_READ_ROW);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *row);
+                put_u64(out, *seq);
+                put_u64(out, *row);
             }
             Frame::ReadRowReply { seq, result } => {
                 out.push(TAG_READ_ROW_REPLY);
-                put_u64(&mut out, *seq);
+                put_u64(out, *seq);
                 match result {
                     Ok(words) => {
                         out.push(0);
-                        put_words(&mut out, words);
+                        put_words(out, words);
                     }
                     Err(e) => {
                         out.push(1);
-                        e.encode(&mut out);
+                        e.encode(out);
                     }
                 }
             }
             Frame::Shutdown => out.push(TAG_SHUTDOWN),
             Frame::SnapshotPull { seq, offset, max_len } => {
                 out.push(TAG_SNAPSHOT_PULL);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *offset);
-                put_u64(&mut out, *max_len);
+                put_u64(out, *seq);
+                put_u64(out, *offset);
+                put_u64(out, *max_len);
             }
             Frame::SnapshotChunk {
                 seq,
@@ -560,10 +672,10 @@ impl Frame {
                 data,
             } => {
                 out.push(TAG_SNAPSHOT_CHUNK);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *offset);
-                put_u64(&mut out, *total_len);
-                put_bytes(&mut out, data);
+                put_u64(out, *seq);
+                put_u64(out, *offset);
+                put_u64(out, *total_len);
+                put_bytes(out, data);
             }
             Frame::SnapshotPush {
                 seq,
@@ -572,19 +684,19 @@ impl Frame {
                 data,
             } => {
                 out.push(TAG_SNAPSHOT_PUSH);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *offset);
-                put_u64(&mut out, *total_len);
-                put_bytes(&mut out, data);
+                put_u64(out, *seq);
+                put_u64(out, *offset);
+                put_u64(out, *total_len);
+                put_bytes(out, data);
             }
             Frame::SnapshotPushAck { seq, ok } => {
                 out.push(TAG_SNAPSHOT_PUSH_ACK);
-                put_u64(&mut out, *seq);
+                put_u64(out, *seq);
                 out.push(u8::from(*ok));
             }
             Frame::Health { seq } => {
                 out.push(TAG_HEALTH);
-                put_u64(&mut out, *seq);
+                put_u64(out, *seq);
             }
             Frame::HealthReply {
                 seq,
@@ -595,15 +707,14 @@ impl Frame {
                 max_wear_fraction,
             } => {
                 out.push(TAG_HEALTH_REPLY);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *uncorrectable_words);
-                put_u64(&mut out, *corrected_bits);
-                put_u64(&mut out, *scrub_rewrites);
-                put_u64(&mut out, *drift_flips);
-                put_f64(&mut out, *max_wear_fraction);
+                put_u64(out, *seq);
+                put_u64(out, *uncorrectable_words);
+                put_u64(out, *corrected_bits);
+                put_u64(out, *scrub_rewrites);
+                put_u64(out, *drift_flips);
+                put_f64(out, *max_wear_fraction);
             }
         }
-        out
     }
 
     /// Decodes a payload (tag + body) produced by
@@ -786,6 +897,8 @@ impl Frame {
     }
 
     /// Writes one framed message: `[len][payload][crc32]`, then flushes.
+    /// Sessions write through `write_with`, which reuses one buffer;
+    /// this is its one-shot form.
     ///
     /// # Errors
     ///
@@ -793,28 +906,29 @@ impl Frame {
     /// fails, [`TransportErrorKind::Oversize`] when the payload exceeds
     /// [`MAX_FRAME`].
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), WireError> {
-        let payload = self.encode_payload();
-        if payload.len() > MAX_FRAME {
-            return Err(WireError::new(
-                TransportErrorKind::Oversize,
-                format!("{}-byte {} frame exceeds {MAX_FRAME}", payload.len(), self.name()),
-            ));
-        }
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        put_u32(&mut framed, payload.len() as u32);
-        framed.extend_from_slice(&payload);
-        put_u32(&mut framed, crc32(&payload));
-        w.write_all(&framed)
-            .and_then(|()| w.flush())
-            .map_err(|e| {
-                WireError::new(
-                    TransportErrorKind::PeerLost,
-                    format!("writing {} frame: {e}", self.name()),
-                )
-            })
+        self.write_with(w, &mut Vec::new())
+    }
+
+    /// [`write_to`](Frame::write_to) through a caller-owned send buffer:
+    /// the frame is encoded into `buf` behind a reserved length slot,
+    /// the length patched in, the CRC appended, and the whole frame
+    /// written with one `write_all`. Sessions keep one `buf` for their
+    /// lifetime, so steady-state frames allocate nothing.
+    ///
+    /// # Errors
+    ///
+    /// As for [`write_to`](Frame::write_to).
+    pub(crate) fn write_with(
+        &self,
+        w: &mut impl Write,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), WireError> {
+        write_framed(w, buf, self.name(), |out| self.encode_into(out))
     }
 
     /// Reads one framed message, verifying length bound and CRC.
+    /// Sessions read through `read_with`, which reuses one buffer; this
+    /// is its one-shot form.
     ///
     /// # Errors
     ///
@@ -826,6 +940,18 @@ impl Frame {
     /// * [`TransportErrorKind::Corrupt`] — CRC mismatch or malformed
     ///   payload.
     pub fn read_from(r: &mut impl Read) -> Result<Frame, WireError> {
+        Self::read_with(r, &mut Vec::new())
+    }
+
+    /// [`read_from`](Frame::read_from) through a caller-owned receive
+    /// buffer: payload and CRC land in `buf`, which only ever grows (to
+    /// the session's largest frame, never past [`MAX_FRAME`] + 4), so
+    /// steady-state frames neither allocate nor zero-fill.
+    ///
+    /// # Errors
+    ///
+    /// As for [`read_from`](Frame::read_from).
+    pub(crate) fn read_with(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<Frame, WireError> {
         let mut len_bytes = [0u8; 4];
         read_exact_at(r, &mut len_bytes, "length prefix", true)?;
         let len = u32::from_le_bytes(len_bytes) as usize;
@@ -835,19 +961,21 @@ impl Frame {
                 format!("{len}-byte length prefix exceeds {MAX_FRAME}"),
             ));
         }
-        let mut payload = vec![0u8; len];
-        read_exact_at(r, &mut payload, "payload", false)?;
-        let mut crc_bytes = [0u8; 4];
-        read_exact_at(r, &mut crc_bytes, "crc", false)?;
-        let want = u32::from_le_bytes(crc_bytes);
-        let got = crc32(&payload);
+        if buf.len() < len + 4 {
+            buf.resize(len + 4, 0);
+        }
+        let framed = &mut buf[..len + 4];
+        read_exact_at(r, framed, "payload and crc", false)?;
+        let (payload, crc_bytes) = framed.split_at(len);
+        let want = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
+        let got = crc32(payload);
         if want != got {
             return Err(WireError::new(
                 TransportErrorKind::Corrupt,
                 format!("crc mismatch: frame says {want:#010x}, payload hashes to {got:#010x}"),
             ));
         }
-        Frame::decode_payload(&payload)
+        Frame::decode_payload(payload)
     }
 }
 
@@ -898,107 +1026,9 @@ mod tests {
     use super::*;
     use felim_arch::geometry::RowId;
 
-    fn sample_frames() -> Vec<Frame> {
-        vec![
-            Frame::Hello {
-                version: WIRE_VERSION,
-                technology: Technology::Feram,
-                geometry: MemoryGeometry::tiny(),
-                tier: None,
-                slot: 0,
-                resume: false,
-            },
-            Frame::Hello {
-                version: WIRE_VERSION,
-                technology: Technology::Dram,
-                geometry: MemoryGeometry::paper_8gb(),
-                tier: Some((DriftSpec::accelerated(77, 390.0, 1e-9), 3600.0)),
-                slot: 11,
-                resume: true,
-            },
-            Frame::HelloAck {
-                version: WIRE_VERSION,
-                data_rows: 1008,
-            },
-            Frame::Batch {
-                seq: 42,
-                tick_s: 1e-3,
-                ops: vec![
-                    RowOp::Write {
-                        row: RowId(3),
-                        data: vec![0xAB; 128],
-                    },
-                    RowOp::Nand {
-                        a: RowId(0),
-                        b: RowId(1),
-                        dst: RowId(2),
-                    },
-                    RowOp::Read { row: RowId(2) },
-                ],
-            },
-            Frame::BatchReply {
-                seq: 42,
-                outcome: ShardBatchOutcome {
-                    outputs: vec![
-                        Ok(RowOpOutput::Done),
-                        Ok(RowOpOutput::Data(vec![1, 2, 3])),
-                        Err(ArchError::Uncorrectable {
-                            row: 7,
-                            words: vec![0, 5],
-                        }),
-                    ],
-                    serial_cycles: 900,
-                    makespan_cycles: 300,
-                    energy_nj: 1.5,
-                    maintenance_error: Some(ArchError::SparesExhausted { row: 9 }),
-                },
-            },
-            Frame::ReadRow { seq: 7, row: 11 },
-            Frame::ReadRowReply {
-                seq: 7,
-                result: Ok(vec![u64::MAX, 0]),
-            },
-            Frame::ReadRowReply {
-                seq: 8,
-                result: Err(ArchError::RowOutOfRange { row: 99, rows: 10 }),
-            },
-            Frame::Shutdown,
-            Frame::SnapshotPull {
-                seq: 9,
-                offset: 4096,
-                max_len: 1 << 20,
-            },
-            Frame::SnapshotChunk {
-                seq: 9,
-                offset: 4096,
-                total_len: 9000,
-                data: vec![0xA5; 256],
-            },
-            Frame::SnapshotChunk {
-                seq: 10,
-                offset: 0,
-                total_len: 0,
-                data: Vec::new(),
-            },
-            Frame::SnapshotPush {
-                seq: 11,
-                offset: 128,
-                total_len: 384,
-                data: vec![0x5A; 128],
-            },
-            Frame::SnapshotPushAck { seq: 11, ok: true },
-            Frame::SnapshotPushAck { seq: 12, ok: false },
-            Frame::Health { seq: 13 },
-            Frame::HealthReply {
-                seq: 13,
-                uncorrectable_words: 2,
-                corrected_bits: 40,
-                scrub_rewrites: 7,
-                drift_flips: 55,
-                max_wear_fraction: 0.125,
-            },
-        ]
-    }
+    // `sample_frames()`: one or more of every frame type, shared with
+    // the decode sweep in `tests/wire_sweep.rs`.
+    include!("../tests/support/sample_frames.rs");
 
     #[test]
     fn every_frame_round_trips_through_a_byte_stream() {
@@ -1077,6 +1107,39 @@ mod tests {
         // The classic IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise table loop slice-by-8 replaced: the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// Seeded pseudo-random bytes (splitmix64 via `derive_seed`).
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = felim_exec::derive_seed(state, 1);
+                state as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slice_by_8_crc32_matches_the_bytewise_oracle() {
+        let lengths = (0..=300).chain([511, 1024, 4095, 8192, 28_001, 65_536]);
+        for len in lengths {
+            // Eight spare bytes so every start offset 0..8 sees `len`.
+            let buf = random_bytes(len as u64 ^ 0xC4C3, len + 8);
+            for start in 0..8 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at offset {start}");
+            }
+        }
     }
 
     #[test]

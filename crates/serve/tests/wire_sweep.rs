@@ -1,0 +1,150 @@
+//! Frame-decode sweep: hostile counts and lengths in every position of
+//! real frames, plus seeded random byte strings, through
+//! [`Frame::decode_payload`].
+//!
+//! Each payload must decode to `Ok` or a [`TransportErrorKind::Corrupt`]
+//! error — never a panic — and no single allocation made while decoding
+//! may exceed what the input could describe. Decoded runs are guarded
+//! at no less than one input byte per element, so the bound is the
+//! payload length times the largest element a decoded run holds, plus a
+//! little room for an error message. A counting global allocator
+//! measures each decode.
+
+use felim_arch::batch::{RowOp, RowOpOutput};
+use felim_arch::drift::DriftSpec;
+use felim_arch::geometry::{MemoryGeometry, RowId};
+use felim_arch::ArchError;
+use felim_exec::derive_seed;
+use felim_serve::shard::ShardBatchOutcome;
+use felim_serve::{Frame, Technology, TransportErrorKind, WIRE_VERSION};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+include!("support/sample_frames.rs");
+
+thread_local! {
+    /// The largest request this thread made since [`largest_during`]
+    /// armed it; `None` when not measuring.
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|l| {
+        if let Some(max) = l.get() {
+            l.set(Some(max.max(size)));
+        }
+    });
+}
+
+/// `System`, noting each request's size on the requesting thread.
+struct Probe;
+
+// SAFETY: every call forwards to `System` unchanged; `note` only
+// touches a const-initialised thread-local cell and never allocates.
+unsafe impl GlobalAlloc for Probe {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static PROBE: Probe = Probe;
+
+/// Runs `f`, returning its result and the largest allocation it
+/// requested on this thread.
+fn largest_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(Some(0)));
+    let out = f();
+    (out, LARGEST.with(Cell::take).unwrap_or(0))
+}
+
+/// Seeded pseudo-random bytes (splitmix64 via `derive_seed`).
+fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = derive_seed(state, 1);
+            state as u8
+        })
+        .collect()
+}
+
+/// Decodes `payload`, asserting the outcome class and the allocation
+/// bound. Returns whether it decoded.
+fn decode(payload: &[u8]) -> bool {
+    let elem = std::mem::size_of::<RowOp>()
+        .max(std::mem::size_of::<Result<RowOpOutput, ArchError>>())
+        .max(8);
+    let (result, largest) = largest_during(|| Frame::decode_payload(payload));
+    assert!(
+        largest <= elem * payload.len() + 256,
+        "{largest}-byte allocation decoding {} payload bytes",
+        payload.len()
+    );
+    match result {
+        Ok(_) => true,
+        Err(e) => {
+            assert_eq!(e.kind, TransportErrorKind::Corrupt, "{e}");
+            false
+        }
+    }
+}
+
+#[test]
+fn hostile_windows_and_random_bytes_decode_or_fail_corrupt() {
+    let (mut windows, mut corrupt) = (0, 0);
+    for frame in sample_frames() {
+        let payload = frame.encode_payload();
+        assert!(decode(&payload), "{} frame must decode", frame.name());
+        for at in 0..payload.len().saturating_sub(7) {
+            // The last count is allocatable but still far past any
+            // payload here: a guard that let it through would show as
+            // an over-large allocation rather than a failed one.
+            for v in [u64::MAX, u64::MAX >> 1, 1 << 40, 1 << 16] {
+                let mut evil = payload.clone();
+                evil[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                windows += 1;
+                corrupt += usize::from(!decode(&evil));
+            }
+        }
+    }
+    assert!(windows > 5_000, "only {windows} windows swept");
+    // Windows over counts and tags are rejected; windows over row data
+    // and f64 fields still decode. The sweep must reach both.
+    assert!(
+        0 < corrupt && corrupt < windows,
+        "{corrupt} of {windows} windows rejected"
+    );
+
+    for seed in 0..5_000u64 {
+        let mut bytes = random_bytes(seed, (seed % 131) as usize + 1);
+        if seed % 2 == 0 {
+            // Half start with a real tag (1..=13) to reach the bodies.
+            bytes[0] = (seed / 2 % 13) as u8 + 1;
+        }
+        decode(&bytes);
+    }
+}
+
+/// The probe itself works: an over-large allocation is seen.
+#[test]
+fn the_probe_sees_large_allocations() {
+    let (v, largest) = largest_during(|| vec![0u8; 1 << 20]);
+    assert_eq!(v.len(), 1 << 20);
+    assert!(largest >= 1 << 20);
+}
