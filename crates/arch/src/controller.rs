@@ -53,13 +53,12 @@
 use crate::drift::{DriftProcess, DriftSpec};
 use crate::ecc::RowCode;
 use crate::fault::ReliabilityStats;
-use crate::geometry::{MemoryGeometry, RowId};
+use crate::geometry::{MemoryGeometry, RowId, RowMap};
 use crate::scrub::{PatrolScrubber, ScrubConfig};
 use crate::stats::ExecStats;
 use crate::{ArchError, BulkBackend};
 use felim_telemetry::CachedCounter;
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// What the controller runs: ECC on/off, an optional scrub schedule, and
 /// the drift environment.
@@ -199,7 +198,7 @@ pub struct ReliabilityController<B: BulkBackend> {
     drift: DriftProcess,
     scrubber: Option<PatrolScrubber>,
     /// SECDED side-bands for every row written through the controller.
-    codes: HashMap<u64, RowCode>,
+    codes: RowMap<u64, RowCode>,
     stats: ControllerStats,
 }
 
@@ -213,7 +212,7 @@ impl<B: BulkBackend> ReliabilityController<B> {
             config,
             drift,
             scrubber,
-            codes: HashMap::new(),
+            codes: RowMap::default(),
             stats: ControllerStats::default(),
         }
     }

@@ -27,7 +27,7 @@
 //! per-row XOR masks from one seed, so a drift campaign reproduces bit
 //! for bit.
 
-use crate::geometry::RowId;
+use crate::geometry::{RowId, RowMap};
 use felim_cell::margin::MarginReport;
 use felim_ferro::imprint::ImprintModel;
 use felim_ferro::retention::RetentionModel;
@@ -35,7 +35,6 @@ use felim_telemetry::CachedCounter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// The drift environment: which physical processes run, how hot the die
 /// is, and the single seed the whole fault stream derives from.
@@ -143,7 +142,7 @@ pub struct DriftProcess {
     spec: DriftSpec,
     rng: StdRng,
     now_s: f64,
-    rows: HashMap<u64, RowDrift>,
+    rows: RowMap<u64, RowDrift>,
     ticks: u64,
     flips_injected: u64,
 }
@@ -169,7 +168,7 @@ impl DriftProcess {
             spec,
             rng,
             now_s: 0.0,
-            rows: HashMap::new(),
+            rows: RowMap::default(),
             ticks: 0,
             flips_injected: 0,
         }

@@ -6,15 +6,14 @@
 //! host RAM). Addressing mistakes surface as [`ArchError`]s rather than
 //! panics, so backends can propagate them as typed failures.
 
-use crate::geometry::{MemoryGeometry, RowId};
+use crate::geometry::{MemoryGeometry, RowId, RowMap};
 use crate::ArchError;
-use std::collections::HashMap;
 
 /// Lazily-materialised storage for full memory rows.
 #[derive(Debug, Clone)]
 pub struct RowStore {
     geometry: MemoryGeometry,
-    rows: HashMap<u64, Vec<u64>>,
+    rows: RowMap<u64, Vec<u64>>,
     /// One row of zeros, read in place of every unmaterialised row.
     zero: Vec<u64>,
     /// Reusable row buffer for the combine/map operations, so the
@@ -39,7 +38,7 @@ impl RowStore {
         geometry.validate().expect("valid geometry");
         Self {
             geometry,
-            rows: HashMap::new(),
+            rows: RowMap::default(),
             zero: vec![0; geometry.row_words()],
             scratch: Vec::new(),
         }

@@ -39,12 +39,11 @@ use crate::command::Command;
 use crate::energy::{EnergyModel, LatencyModel};
 use crate::engine::{minority_words, RowStore};
 use crate::fault::{DegradationPolicy, FaultInjector, FaultSpec, ReliabilityStats};
-use crate::geometry::{MemoryGeometry, RowId};
+use crate::geometry::{MemoryGeometry, RowId, RowMap};
 use crate::schedule::MakespanClock;
 use crate::stats::ExecStats;
 use crate::wear::WearTracker;
 use crate::{ArchError, BulkBackend};
-use std::collections::HashMap;
 
 /// Rows reserved at the top of the address space for scratch and spares.
 const RESERVED_ROWS: u64 = 16;
@@ -68,7 +67,7 @@ pub struct FeramBackend {
     latency: LatencyModel,
     stats: ExecStats,
     /// QNRO reads absorbed per group since its last write.
-    reads_since_write: HashMap<u64, u32>,
+    reads_since_write: RowMap<u64, u32>,
     /// Reads allowed before a maintenance write-back.
     disturb_budget: u32,
     /// Write-backs issued due to disturb exhaustion.
@@ -82,7 +81,7 @@ pub struct FeramBackend {
     /// Ground-truth fault bookkeeping.
     reliability: ReliabilityStats,
     /// Logical → physical row remapping (retirement + scratch rotation).
-    remap: HashMap<u64, u64>,
+    remap: RowMap<u64, u64>,
     /// Free physical spare rows (popped from the back).
     spares: Vec<u64>,
     command_log: Option<Vec<Command>>,
@@ -113,14 +112,14 @@ impl FeramBackend {
             energy: EnergyModel::feram_2tnc(),
             latency: LatencyModel::paper_default(),
             stats: ExecStats::new(),
-            reads_since_write: HashMap::new(),
+            reads_since_write: RowMap::default(),
             disturb_budget: 64,
             writebacks: 0,
             wear: WearTracker::new(),
             faults: None,
             policy: DegradationPolicy::none(),
             reliability: ReliabilityStats::default(),
-            remap: HashMap::new(),
+            remap: RowMap::default(),
             spares,
             command_log: None,
             clock: MakespanClock::per_subarray(&geometry),

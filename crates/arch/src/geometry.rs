@@ -1,7 +1,9 @@
 //! Memory geometry and row addressing.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of one memory row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -10,6 +12,49 @@ pub struct RowId(pub u64);
 impl fmt::Display for RowId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "row#{}", self.0)
+    }
+}
+
+/// A map keyed by row address (a [`RowId`] or its raw `u64`), hashed by
+/// [`RowHasher`].
+pub type RowMap<K, V> = HashMap<K, V, BuildHasherDefault<RowHasher>>;
+
+/// The fixed, unkeyed hasher of every row-keyed map.
+///
+/// A row operation looks rows up in several maps, so the per-lookup cost
+/// of the default keyed SipHash is a large share of a 1 KB row-op. A
+/// keyed hasher guards against a peer choosing colliding keys; for a row
+/// map the geometry bounds that worst case instead: every key is checked
+/// against it before it is inserted or restored, so no map holds more
+/// entries than the array has rows. Nothing depends on hash order: every
+/// walk that produces bytes sorts by key first.
+///
+/// [`write_u64`](Hasher::write_u64) folds a word in with one multiply;
+/// [`finish`](Hasher::finish) applies MurmurHash3's `fmix64` avalanche,
+/// so strided addresses (`i * 512`, plane keys `3 * row + slot`) spread
+/// over both the low bits that pick a bucket and the top bits that the
+/// table keeps as a tag.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
     }
 }
 
@@ -173,6 +218,42 @@ mod tests {
         let mut g = MemoryGeometry::tiny();
         g.rows_per_subarray = 7;
         assert!(g.validate().is_err());
+    }
+
+    /// Strided row addresses (unit, plane keys, subarray and row-size
+    /// strides, a power of two past the geometry) must spread over both
+    /// the bucket bits and the tag bits, and hash the same under every
+    /// builder, whether keyed by `u64` or by `RowId`.
+    #[test]
+    fn row_hasher_spreads_strided_keys() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let (a, b) = (
+            BuildHasherDefault::<RowHasher>::default(),
+            BuildHasherDefault::<RowHasher>::default(),
+        );
+        for stride in [1u64, 3, 64, 512, 3 * 512, 1 << 20] {
+            let hashes: Vec<u64> = (0..1024u64)
+                .map(|i| {
+                    let h = a.hash_one(i * stride);
+                    assert_eq!(h, b.hash_one(i * stride), "stride {stride}");
+                    assert_eq!(h, a.hash_one(RowId(i * stride)), "stride {stride}");
+                    h
+                })
+                .collect();
+            let low: HashSet<u64> = hashes.iter().map(|h| h & 1023).collect();
+            let top: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            assert!(
+                low.len() >= 600,
+                "stride {stride}: {} low-bit values",
+                low.len()
+            );
+            assert!(
+                top.len() >= 100,
+                "stride {stride}: {} tag values",
+                top.len()
+            );
+        }
     }
 
     #[test]

@@ -115,10 +115,12 @@ pub fn take_words(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
 }
 
 /// Appends a map as a count-prefixed run of entries sorted by key, each
-/// written by `put_entry`, so the bytes never depend on hash order.
-pub fn put_map<K: Ord + Copy, V>(
+/// written by `put_entry`, so the bytes never depend on hash order —
+/// neither on the hasher nor on the insertion history that shapes a
+/// table's iteration order under any one hasher.
+pub fn put_map<K: Ord + Copy, V, S>(
     out: &mut Vec<u8>,
-    map: &HashMap<K, V>,
+    map: &HashMap<K, V, S>,
     mut put_entry: impl FnMut(&mut Vec<u8>, K, &V),
 ) {
     let mut entries: Vec<(K, &V)> = map.iter().map(|(&k, v)| (k, v)).collect();
@@ -176,6 +178,7 @@ pub fn take_bytes(buf: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::RowMap;
 
     #[test]
     fn primitives_round_trip() {
@@ -248,6 +251,41 @@ mod tests {
         let mut pos = 0;
         assert_eq!(take_run(&buf, &mut pos, 12, entry), Some(map));
         assert_eq!(pos, buf.len());
+
+        // Under the fixed row hasher, iteration order follows insertion
+        // history; the bytes must not. Ascending inserts against
+        // descending inserts interleaved with removals of extra keys.
+        let put = |map: &RowMap<u64, u32>| {
+            let mut buf = Vec::new();
+            put_map(&mut buf, map, |out, k, &v| {
+                put_u64(out, k);
+                put_u32(out, v);
+            });
+            buf
+        };
+        let keys: Vec<u64> = (0..300)
+            .map(|i| i * 512)
+            .chain([3, 1 << 40, u64::MAX])
+            .collect();
+        let mut ascending = RowMap::default();
+        for &k in &keys {
+            ascending.insert(k, k as u32 ^ 0x5A5A);
+        }
+        let mut descending = RowMap::default();
+        for &k in keys.iter().rev() {
+            descending.insert(k ^ 1, 0);
+            descending.insert(k, k as u32 ^ 0x5A5A);
+            if k % 3 == 0 {
+                descending.remove(&(k ^ 1));
+            }
+        }
+        descending.retain(|k, _| keys.contains(k));
+        assert_eq!(ascending, descending);
+        assert!(
+            ascending.keys().ne(descending.keys()),
+            "the histories must differ in order"
+        );
+        assert_eq!(put(&ascending), put(&descending));
     }
 
     /// The chunked `take_words` against the per-word `take_run` it

@@ -7,14 +7,13 @@
 //! an endurance budget, so workloads can check their wear profile and
 //! future controllers could rotate scratch rows.
 
-use crate::geometry::RowId;
+use crate::geometry::{RowId, RowMap};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Per-row write counters with an endurance budget.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WearTracker {
-    writes: HashMap<RowId, u64>,
+    writes: RowMap<RowId, u64>,
     endurance_budget: u64,
 }
 
@@ -50,7 +49,7 @@ impl WearTracker {
     pub fn with_budget(endurance_budget: u64) -> Self {
         assert!(endurance_budget > 0, "endurance budget must be positive");
         Self {
-            writes: HashMap::new(),
+            writes: RowMap::default(),
             endurance_budget,
         }
     }

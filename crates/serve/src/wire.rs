@@ -82,6 +82,10 @@ pub const WIRE_VERSION: u32 = 2;
 /// on the wire is a corrupt or hostile length prefix.
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// How far a receive buffer grows ahead of the bytes that have arrived
+/// (see `Frame::read_with`).
+const RECV_STEP: usize = 64 << 10;
+
 /// IEEE CRC-32 lookup table (reflected polynomial `0xEDB8_8320`).
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
@@ -948,6 +952,12 @@ impl Frame {
     /// the session's largest frame, never past [`MAX_FRAME`] + 4), so
     /// steady-state frames neither allocate nor zero-fill.
     ///
+    /// The length prefix is only a claim until the bytes arrive, so a
+    /// buffer short of it grows in steps of at most
+    /// `max(RECV_STEP, bytes read)`: a bare prefix near [`MAX_FRAME`]
+    /// costs one `RECV_STEP`, and a real frame still costs amortised
+    /// linear growth.
+    ///
     /// # Errors
     ///
     /// As for [`read_from`](Frame::read_from).
@@ -961,12 +971,22 @@ impl Frame {
                 format!("{len}-byte length prefix exceeds {MAX_FRAME}"),
             ));
         }
-        if buf.len() < len + 4 {
-            buf.resize(len + 4, 0);
+        let total = len + 4;
+        let mut filled = 0;
+        while filled < total {
+            let end = total.min(buf.len().max(filled + filled.max(RECV_STEP)));
+            if buf.len() < end {
+                buf.resize(end, 0);
+            }
+            filled += read_up_to(r, &mut buf[filled..end], "payload and crc")?;
+            if filled < end {
+                return Err(WireError::new(
+                    TransportErrorKind::ShortRead,
+                    format!("torn frame: eof after {filled}/{total} bytes of payload and crc"),
+                ));
+            }
         }
-        let framed = &mut buf[..len + 4];
-        read_exact_at(r, framed, "payload and crc", false)?;
-        let (payload, crc_bytes) = framed.split_at(len);
+        let (payload, crc_bytes) = buf[..total].split_at(len);
         let want = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
         let got = crc32(payload);
         if want != got {
@@ -989,25 +1009,32 @@ fn read_exact_at(
     what: &str,
     at_boundary: bool,
 ) -> Result<(), WireError> {
+    let filled = read_up_to(r, buf, what)?;
+    if filled == buf.len() {
+        Ok(())
+    } else if at_boundary && filled == 0 {
+        Err(WireError::new(
+            TransportErrorKind::PeerLost,
+            "peer closed the connection at a frame boundary",
+        ))
+    } else {
+        Err(WireError::new(
+            TransportErrorKind::ShortRead,
+            format!(
+                "torn frame: eof after {filled}/{} bytes of {what}",
+                buf.len()
+            ),
+        ))
+    }
+}
+
+/// Reads until `buf` is full or the stream ends, returning the bytes
+/// read. A stream error is [`TransportErrorKind::PeerLost`].
+fn read_up_to(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<usize, WireError> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if at_boundary && filled == 0 {
-                    Err(WireError::new(
-                        TransportErrorKind::PeerLost,
-                        "peer closed the connection at a frame boundary",
-                    ))
-                } else {
-                    Err(WireError::new(
-                        TransportErrorKind::ShortRead,
-                        format!(
-                            "torn frame: eof after {filled}/{} bytes of {what}",
-                            buf.len()
-                        ),
-                    ))
-                };
-            }
+            Ok(0) => break,
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
@@ -1018,7 +1045,7 @@ fn read_exact_at(
             }
         }
     }
-    Ok(())
+    Ok(filled)
 }
 
 #[cfg(test)]

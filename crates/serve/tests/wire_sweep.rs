@@ -16,7 +16,7 @@ use felim_arch::geometry::{MemoryGeometry, RowId};
 use felim_arch::ArchError;
 use felim_exec::derive_seed;
 use felim_serve::shard::ShardBatchOutcome;
-use felim_serve::{Frame, Technology, TransportErrorKind, WIRE_VERSION};
+use felim_serve::{Frame, Technology, TransportErrorKind, MAX_FRAME, WIRE_VERSION};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -139,6 +139,22 @@ fn hostile_windows_and_random_bytes_decode_or_fail_corrupt() {
         }
         decode(&bytes);
     }
+}
+
+/// A length prefix is a claim, not a grant: a peer that announces a
+/// `MAX_FRAME` payload, sends 1 KiB of it and hangs up gets a torn-frame
+/// error without the reader ever sizing its buffer to the claim.
+#[test]
+fn a_bare_max_frame_prefix_cannot_size_the_receive_buffer() {
+    let mut stream = (MAX_FRAME as u32).to_le_bytes().to_vec();
+    stream.extend(random_bytes(7, 1 << 10));
+    let (result, largest) = largest_during(|| Frame::read_from(&mut &stream[..]));
+    let err = result.expect_err("a 1 KiB body cannot complete a MAX_FRAME frame");
+    assert_eq!(err.kind, TransportErrorKind::ShortRead, "{err}");
+    assert!(
+        largest < 256 << 10,
+        "{largest}-byte allocation for 1 KiB of input"
+    );
 }
 
 /// The probe itself works: an over-large allocation is seen.
