@@ -269,10 +269,7 @@ impl<B: BulkBackend> ReliabilityController<B> {
         }
         let geometry = *self.inner.geometry();
         let mut drift = self.drift.clone();
-        drift.restore_state(buf, &mut pos)?;
-        if !drift.tracked_rows().into_iter().all(|row| geometry.contains(row)) {
-            return None;
-        }
+        drift.restore_state(geometry, buf, &mut pos)?;
         let scrubber = match (take_bool(buf, &mut pos)?, self.scrubber.clone()) {
             (true, Some(mut s)) => {
                 s.restore_state(buf, &mut pos)?;
@@ -794,5 +791,18 @@ mod tests {
         let (a2, s2) = run();
         assert_eq!(a1, a2);
         assert_eq!(s1, s2);
+    }
+
+    #[test]
+    fn restore_refuses_drift_rows_outside_the_array() {
+        let rows = protected(7200.0).geometry().total_rows();
+        for (row, accepted) in [(rows - 1, true), (rows, false)] {
+            let mut c = protected(7200.0);
+            c.drift.note_write(RowId(row));
+            let snap = c.snapshot_state().unwrap();
+            let mut target = protected(7200.0);
+            assert_eq!(target.restore_state(&snap), accepted, "row {row}");
+            assert_eq!(target.drift().tracked_rows().len(), usize::from(accepted));
+        }
     }
 }

@@ -27,7 +27,7 @@
 //! per-row XOR masks from one seed, so a drift campaign reproduces bit
 //! for bit.
 
-use crate::geometry::{RowId, RowMap};
+use crate::geometry::{MemoryGeometry, RowId, RowMap};
 use felim_cell::margin::MarginReport;
 use felim_ferro::imprint::ImprintModel;
 use felim_ferro::retention::RetentionModel;
@@ -347,8 +347,14 @@ impl DriftProcess {
     /// a clock that no process reaches: a `now_s` or a row's
     /// `last_write_s` that is negative or not finite, or a row written
     /// after `now_s`. A NaN clock would make every hold time zero and
-    /// stop drift for good.
-    pub fn restore_state(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
+    /// stop drift for good. A row outside `geometry` is refused before
+    /// it is inserted, which bounds the map by the array.
+    pub fn restore_state(
+        &mut self,
+        geometry: MemoryGeometry,
+        buf: &[u8],
+        pos: &mut usize,
+    ) -> Option<()> {
         use crate::snapshot::{take_f64, take_run, take_u64};
         let mut probe = *pos;
         if take_u64(buf, &mut probe)? != self.spec.seed {
@@ -376,7 +382,8 @@ impl DriftProcess {
             };
             // The write happened on the clock, and charged reads are a
             // prefix of the reads since the write.
-            ((0.0..=now_s).contains(&state.last_write_s)
+            (geometry.contains(RowId(key))
+                && (0.0..=now_s).contains(&state.last_write_s)
                 && state.reads_charged <= state.reads_since_write)
                 .then_some((key, state))
         })?;
@@ -393,6 +400,10 @@ impl DriftProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tiny() -> MemoryGeometry {
+        MemoryGeometry::tiny()
+    }
 
     fn hot(seed: u64) -> DriftSpec {
         DriftSpec::accelerated(seed, 390.0, 1e-4)
@@ -533,7 +544,7 @@ mod tests {
 
         let mut restored = DriftProcess::new(hot(21));
         let mut pos = 0;
-        restored.restore_state(&snap, &mut pos).expect("restore");
+        assert!(restored.restore_state(tiny(), &snap, &mut pos).is_some());
         assert_eq!(pos, snap.len(), "consume exactly what was written");
         assert_eq!(restored.now_s(), original.now_s());
         assert_eq!(restored.ticks(), original.ticks());
@@ -554,7 +565,7 @@ mod tests {
         // A seed mismatch must refuse, leaving the target untouched.
         let mut wrong = DriftProcess::new(hot(22));
         let mut pos = 0;
-        assert!(wrong.restore_state(&snap, &mut pos).is_none());
+        assert!(wrong.restore_state(tiny(), &snap, &mut pos).is_none());
         assert_eq!(pos, 0);
     }
 
@@ -569,7 +580,7 @@ mod tests {
         let mut snap = Vec::new();
         original.encode_state(&mut snap);
         let mut restored = DriftProcess::new(hot(33));
-        restored.restore_state(&snap, &mut 0).expect("restore");
+        assert!(restored.restore_state(tiny(), &snap, &mut 0).is_some());
         let mut flipped = false;
         for _ in 0..4 {
             original.tick(3600.0);
@@ -585,7 +596,7 @@ mod tests {
         snap[8..40].fill(0);
         let mut target = DriftProcess::new(hot(33));
         let mut pos = 0;
-        assert!(target.restore_state(&snap, &mut pos).is_none());
+        assert!(target.restore_state(tiny(), &snap, &mut pos).is_none());
         assert_eq!((pos, target.ticks()), (0, 0));
     }
 
@@ -615,12 +626,29 @@ mod tests {
             crafted[field.clone()].copy_from_slice(&bad.to_le_bytes());
             let mut target = DriftProcess::new(hot(44));
             let mut pos = 0;
-            let restored = target.restore_state(&crafted, &mut pos);
+            let restored = target.restore_state(tiny(), &crafted, &mut pos);
             assert!(restored.is_none(), "{field:?} = {bad}");
             assert_eq!((pos, target.now_s()), (0, 0.0));
         }
         let mut target = DriftProcess::new(hot(44));
-        assert!(target.restore_state(&good, &mut 0).is_some());
+        assert!(target.restore_state(tiny(), &good, &mut 0).is_some());
         assert_eq!(target.now_s(), 120.0);
+    }
+
+    #[test]
+    fn restore_refuses_rows_outside_the_geometry() {
+        let geometry = MemoryGeometry::tiny();
+        let last = geometry.total_rows() - 1;
+        for (row, accepted) in [(last, true), (last + 1, false), (u64::MAX, false)] {
+            let mut original = DriftProcess::new(hot(45));
+            original.note_write(RowId(row));
+            let mut snap = Vec::new();
+            original.encode_state(&mut snap);
+            let mut target = DriftProcess::new(hot(45));
+            let mut pos = 0;
+            let restored = target.restore_state(geometry, &snap, &mut pos);
+            assert_eq!(restored.is_some(), accepted, "row {row}");
+            assert_eq!(target.tracked_rows().len(), usize::from(accepted));
+        }
     }
 }

@@ -336,12 +336,15 @@ impl FeramBackend {
             energy: self.energy,
             latency: self.latency,
             stats: ExecStats::decode_state(buf, pos)?,
+            // Disturb counters are keyed by visible row, wear counters by
+            // the physical row written; both lie inside the array.
             reads_since_write: take_run(buf, pos, 12, |buf, pos| {
-                Some((take_u64(buf, pos)?, take_u32(buf, pos)?))
+                let (row, count) = (take_u64(buf, pos)?, take_u32(buf, pos)?);
+                (row < rows).then_some((row, count))
             })?,
             disturb_budget: take_u32(buf, pos)?,
             writebacks: take_u64(buf, pos)?,
-            wear: WearTracker::decode_state(buf, pos)?,
+            wear: WearTracker::decode_state(self.geometry, buf, pos)?,
             faults: None,
             policy: DegradationPolicy::decode_state(buf, pos)?,
             reliability: ReliabilityStats::decode_state(buf, pos)?,
@@ -1261,5 +1264,23 @@ mod tests {
         let baseline = run(DegradationPolicy::none());
         let hardened = run(DegradationPolicy::hardened());
         assert!(hardened > baseline, "{hardened} vs {baseline}");
+    }
+
+    /// Disturb counters and wear counters name rows too; a snapshot with
+    /// one outside the array is refused like a stored row would be.
+    #[test]
+    fn restore_refuses_counter_rows_outside_the_array() {
+        let rows = backend().geometry().total_rows();
+        for (row, accepted) in [(rows - 1, true), (rows, false), (u64::MAX, false)] {
+            let mut disturb = backend();
+            disturb.reads_since_write.insert(row, 0);
+            let mut wear = backend();
+            wear.wear.record_write(RowId(row));
+            for (name, b) in [("disturb", disturb), ("wear", wear)] {
+                let snap = b.snapshot_state().unwrap();
+                let mut target = backend();
+                assert_eq!(target.restore_state(&snap), accepted, "{name} row {row}");
+            }
+        }
     }
 }

@@ -25,8 +25,9 @@ pub type RowMap<K, V> = HashMap<K, V, BuildHasherDefault<RowHasher>>;
 /// of the default keyed SipHash is a large share of a 1 KB row-op. A
 /// keyed hasher guards against a peer choosing colliding keys; for a row
 /// map the geometry bounds that worst case instead: every key is checked
-/// against it before it is inserted or restored, so no map holds more
-/// entries than the array has rows. Nothing depends on hash order: every
+/// against it before it is inserted, by the row op or, on a restore, by
+/// the snapshot decoder, so no map holds more entries than the array has
+/// rows. Nothing depends on hash order: every
 /// walk that produces bytes sorts by key first.
 ///
 /// [`write_u64`](Hasher::write_u64) folds a word in with one multiply;

@@ -7,7 +7,7 @@
 //! an endurance budget, so workloads can check their wear profile and
 //! future controllers could rotate scratch rows.
 
-use crate::geometry::{RowId, RowMap};
+use crate::geometry::{MemoryGeometry, RowId, RowMap};
 use serde::{Deserialize, Serialize};
 
 /// Per-row write counters with an endurance budget.
@@ -97,16 +97,23 @@ impl WearTracker {
         });
     }
 
-    /// Decodes a tracker written by [`WearTracker::encode_state`].
-    /// `None` on malformed input (including a zero budget).
-    pub fn decode_state(buf: &[u8], pos: &mut usize) -> Option<WearTracker> {
+    /// Decodes a tracker written by [`WearTracker::encode_state`] for a
+    /// backend over `geometry`. `None` on malformed input, including a
+    /// zero budget or a row outside the geometry (checked before the row
+    /// is inserted, which bounds the map by the array).
+    pub fn decode_state(
+        geometry: MemoryGeometry,
+        buf: &[u8],
+        pos: &mut usize,
+    ) -> Option<WearTracker> {
         use crate::snapshot::{take_run, take_u64};
         let endurance_budget = take_u64(buf, pos)?;
         if endurance_budget == 0 {
             return None;
         }
         let writes = take_run(buf, pos, 16, |buf, pos| {
-            Some((RowId(take_u64(buf, pos)?), take_u64(buf, pos)?))
+            let (row, n) = (RowId(take_u64(buf, pos)?), take_u64(buf, pos)?);
+            geometry.contains(row).then_some((row, n))
         })?;
         Some(WearTracker {
             writes,
@@ -218,5 +225,20 @@ mod tests {
     #[should_panic(expected = "budget must be positive")]
     fn rejects_zero_budget() {
         let _ = WearTracker::with_budget(0);
+    }
+
+    #[test]
+    fn decode_refuses_rows_outside_the_geometry() {
+        let geometry = MemoryGeometry::tiny();
+        let last = geometry.total_rows() - 1;
+        for (row, accepted) in [(last, true), (last + 1, false), (u64::MAX, false)] {
+            let mut w = WearTracker::with_budget(100);
+            w.record_write(RowId(row));
+            let mut snap = Vec::new();
+            w.encode_state(&mut snap);
+            let decoded = WearTracker::decode_state(geometry, &snap, &mut 0);
+            let writes = decoded.map(|d| d.writes(RowId(row)));
+            assert_eq!(writes, accepted.then_some(1), "row {row}");
+        }
     }
 }
