@@ -819,7 +819,9 @@ impl ShardHost {
 /// A snapshot pull is encoded once, at its offset-0 chunk, and later
 /// chunks are cut from that copy, so pulling *S* bytes encodes *S*
 /// bytes rather than one snapshot per chunk. Any other frame drops the
-/// copy, so a pull restarted after a batch sees the batch.
+/// copy, so a pull restarted after a batch sees the batch. A snapshot
+/// push is buffered only up to [`Shard::snapshot_len_bound`]: a push
+/// that claims more, or sends more than it claimed, is refused unread.
 pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
@@ -882,9 +884,11 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
     telemetry::counter("serve.remote.sessions").inc();
 
     // Partial snapshot-push reassembly: strictly sequential chunks,
-    // restored atomically when complete.
+    // restored atomically when complete, never past what this shard's
+    // own geometry could encode.
     let mut push_buf: Vec<u8> = Vec::new();
     let mut push_total: u64 = 0;
+    let push_bound = lock(&shard).snapshot_len_bound();
     // The snapshot a pull in progress is served from: encoded once at
     // offset 0 (or at the first pull of the session), dropped after its
     // last chunk or when any other frame arrives, so a pull never sees
@@ -952,14 +956,22 @@ pub fn run_session_mux(stream: TcpStream, registry: &SlotRegistry) {
                 total_len,
                 data,
             } => {
-                // Chunks must arrive in order and agree on the total;
-                // anything else aborts the transfer (the client sees
+                // Chunks must arrive in order, agree on a total this
+                // shard could have encoded and stay within it; anything
+                // else aborts the transfer unbuffered (the client sees
                 // `ok = false` and owns the retry).
                 if offset == 0 {
                     push_buf.clear();
-                    push_total = total_len;
+                    push_total = if total_len <= push_bound {
+                        total_len
+                    } else {
+                        0
+                    };
                 }
-                let ok = if total_len != push_total || offset != push_buf.len() as u64 {
+                let ok = if total_len != push_total
+                    || offset != push_buf.len() as u64
+                    || data.len() as u64 > push_total - offset
+                {
                     push_buf.clear();
                     push_total = 0;
                     false

@@ -223,3 +223,55 @@ fn crafted_counts_cannot_panic_or_wedge_a_restore() {
         }
     }
 }
+
+/// The daemon refuses a snapshot push longer than
+/// [`Shard::snapshot_len_bound`], so no snapshot a shard can produce may
+/// exceed it: every data row written, read and combined, on both
+/// technologies, both tiers, and rows as small as the codec's per-row
+/// keys.
+#[test]
+fn every_snapshot_fits_the_push_bound() {
+    let small_rows = MemoryGeometry {
+        capacity_bytes: 64 << 10,
+        row_bytes: 64,
+        rows_per_subarray: 64,
+    };
+    for geometry in [MemoryGeometry::tiny(), small_rows] {
+        for technology in [Technology::Feram, Technology::Dram] {
+            for tier in tiers(0xB0D) {
+                let tier = match tier {
+                    ServiceTier::Baseline => None,
+                    ServiceTier::Protected {
+                        drift,
+                        scrub_period_s,
+                    } => Some((drift, scrub_period_s)),
+                };
+                let mut shard = Shard::new(technology, geometry, tier);
+                let rows = shard.data_rows();
+                let words = geometry.row_words();
+                let mut ops: Vec<RowOp> = (0..rows)
+                    .map(|r| RowOp::Write {
+                        row: RowId(r),
+                        data: vec![r | 1 << 40; words],
+                    })
+                    .collect();
+                ops.extend((0..rows).map(|r| RowOp::Read { row: RowId(r) }));
+                ops.extend((0..rows).map(|r| RowOp::Xor {
+                    a: RowId(r),
+                    b: RowId((r + 1) % rows),
+                    dst: RowId((r + 2) % rows),
+                }));
+                for tick in 0..3 {
+                    let _ = shard.execute(&ops, 0.4 + f64::from(tick));
+                }
+                let snapshot = shard.snapshot_state().expect("snapshots");
+                let bound = shard.snapshot_len_bound();
+                assert!(
+                    (snapshot.len() as u64) <= bound,
+                    "{technology:?} {geometry:?}: {} bytes past the {bound}-byte bound",
+                    snapshot.len()
+                );
+            }
+        }
+    }
+}

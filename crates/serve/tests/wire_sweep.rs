@@ -15,8 +15,9 @@ use felim_arch::drift::DriftSpec;
 use felim_arch::geometry::{MemoryGeometry, RowId};
 use felim_arch::ArchError;
 use felim_exec::derive_seed;
+use felim_serve::remote::run_session_mux;
 use felim_serve::shard::ShardBatchOutcome;
-use felim_serve::{Frame, Technology, TransportErrorKind, MAX_FRAME, WIRE_VERSION};
+use felim_serve::{Frame, SlotRegistry, Technology, TransportErrorKind, MAX_FRAME, WIRE_VERSION};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -154,6 +155,62 @@ fn a_bare_max_frame_prefix_cannot_size_the_receive_buffer() {
     assert!(
         largest < 256 << 10,
         "{largest}-byte allocation for 1 KiB of input"
+    );
+}
+
+/// A snapshot push's `total_len` is a claim as well: a peer that
+/// announces more than its shard's geometry could encode and streams
+/// chunks toward it is refused at every chunk, and the daemon buffers
+/// none of them.
+#[test]
+fn an_oversized_snapshot_push_is_refused_unbuffered() {
+    const CHUNK: usize = 512 << 10;
+    const CHUNKS: u64 = 12;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let peer = std::thread::spawn(move || {
+        let mut s = std::net::TcpStream::connect(addr).expect("connect");
+        Frame::Hello {
+            version: WIRE_VERSION,
+            technology: Technology::Feram,
+            geometry: MemoryGeometry::tiny(),
+            tier: None,
+            slot: 0,
+            resume: false,
+        }
+        .write_to(&mut s)
+        .expect("hello");
+        let ack = Frame::read_from(&mut s).expect("hello ack");
+        assert!(matches!(ack, Frame::HelloAck { data_rows, .. } if data_rows > 0));
+        let data = vec![0xa5; CHUNK];
+        let acks: Vec<bool> = (0..CHUNKS)
+            .map(|seq| {
+                Frame::SnapshotPush {
+                    seq,
+                    offset: seq * CHUNK as u64,
+                    total_len: 64 << 20,
+                    data: data.clone(),
+                }
+                .write_to(&mut s)
+                .expect("push");
+                match Frame::read_from(&mut s).expect("push ack") {
+                    Frame::SnapshotPushAck { ok, .. } => ok,
+                    other => panic!("expected snapshot_push_ack, got {}", other.name()),
+                }
+            })
+            .collect();
+        Frame::Shutdown.write_to(&mut s).expect("shutdown");
+        acks
+    });
+    let (stream, _) = listener.accept().expect("accept");
+    let registry = SlotRegistry::default();
+    let ((), largest) = largest_during(|| run_session_mux(stream, &registry));
+    let acks = peer.join().expect("peer thread");
+    assert_eq!(acks, vec![false; CHUNKS as usize], "every chunk refused");
+    // Each frame's own buffers are allowed; the 6 MiB sent are not.
+    assert!(
+        largest < 2 * CHUNK + (64 << 10),
+        "{largest}-byte allocation for {CHUNKS} refused chunks of {CHUNK} bytes"
     );
 }
 
