@@ -345,19 +345,17 @@ impl<B: BulkBackend> ReliabilityController<B> {
     }
 
     fn run_due_scrub_passes(&mut self) -> Result<(), ArchError> {
-        // The schedule is asked first, so a tick with no pass due builds
-        // no row list.
         while self.scrubber.as_ref().is_some_and(PatrolScrubber::due) {
-            let tracked = self.drift.tracked_rows();
-            let pass = self
-                .scrubber
-                .as_mut()
-                .and_then(|s| s.begin_pass(tracked.len()));
+            let tracked = self.drift.tracked_count();
+            let pass = self.scrubber.as_mut().and_then(|s| s.begin_pass(tracked));
             // `None` here: nothing tracked, the due pass was consumed
-            // empty — keep draining periods.
+            // empty — keep draining periods. A visit rewrites only
+            // tracked rows, so the walk order holds still under it.
             if let Some((start, count)) = pass {
                 for i in 0..count {
-                    self.scrub_row(tracked[(start + i) % tracked.len()])?;
+                    if let Some(row) = self.drift.tracked_row((start + i) % tracked) {
+                        self.scrub_row(row)?;
+                    }
                 }
             }
         }
@@ -559,11 +557,14 @@ impl<B: BulkBackend> BulkBackend for ReliabilityController<B> {
         self.stats.drift_ticks += 1;
         TICKS.inc();
         let words = self.inner.geometry().row_words();
-        for row in self.drift.tracked_rows() {
+        // Sampling never tracks a row, so the walk order holds still.
+        let mut index = 0;
+        while let Some(row) = self.drift.tracked_row(index) {
             let wear = self.inner.wear_fraction(row);
             if let Some(mask) = self.drift.sample_row(row, words, dt_s, wear) {
                 self.inner.decay_row(row, &mask)?;
             }
+            index += 1;
         }
         self.stats.drift_flips = self.drift.flips_injected();
         if let Some(scrubber) = self.scrubber.as_mut() {
@@ -574,10 +575,11 @@ impl<B: BulkBackend> BulkBackend for ReliabilityController<B> {
     }
 
     fn health(&self) -> ControllerHealth {
-        let mut max_wear_fraction: f64 = 0.0;
-        for row in self.drift.tracked_rows() {
-            max_wear_fraction = max_wear_fraction.max(self.inner.wear_fraction(row));
-        }
+        let max_wear_fraction = self
+            .drift
+            .tracked()
+            .map(|row| self.inner.wear_fraction(row))
+            .fold(0.0, f64::max);
         ControllerHealth {
             uncorrectable_words: self.stats.uncorrectable_words,
             corrected_bits: self.stats.corrected_bits,
@@ -791,6 +793,135 @@ mod tests {
         let (a2, s2) = run();
         assert_eq!(a1, a2);
         assert_eq!(s1, s2);
+    }
+
+    /// [`BulkBackend::tick`] as it ran before the hold-time cache and
+    /// the kept walk order: a fresh `tracked_rows()` copy per pass and
+    /// the pure per-row probability.
+    fn reference_tick(
+        c: &mut ReliabilityController<FeramBackend>,
+        dt_s: f64,
+    ) -> Result<(), ArchError> {
+        c.drift.tick(dt_s);
+        c.stats.drift_ticks += 1;
+        let words = c.inner.geometry().row_words();
+        for row in c.drift.tracked_rows() {
+            let wear = c.inner.wear_fraction(row);
+            if let Some(mask) = c.drift.reference_sample_row(row, words, dt_s, wear) {
+                c.inner.decay_row(row, &mask)?;
+            }
+        }
+        c.stats.drift_flips = c.drift.flips_injected();
+        let Some(scrubber) = c.scrubber.as_mut() else {
+            return Ok(());
+        };
+        scrubber.advance(dt_s);
+        while c.scrubber.as_ref().is_some_and(PatrolScrubber::due) {
+            let tracked = c.drift.tracked_rows();
+            let pass = c
+                .scrubber
+                .as_mut()
+                .and_then(|s| s.begin_pass(tracked.len()));
+            if let Some((start, count)) = pass {
+                for i in 0..count {
+                    c.scrub_row(tracked[(start + i) % tracked.len()])?;
+                }
+            }
+        }
+        if let Some(scrubber) = c.scrubber.as_ref() {
+            c.stats.scrub_passes = scrubber.passes();
+            c.stats.scrub_rewrites = scrubber.rewrites();
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn tick_matches_the_per_row_reference_tick() {
+        use crate::fault::{DegradationPolicy, FaultSpec};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Two shards: a snapshotable one (compared byte for byte, with a
+        // restore midway) and one with a small wear budget and scratch
+        // rotation, whose rows reach wear fractions well above zero and
+        // whose patrol rewrites hot rows (compared by drift state,
+        // counters and every stored row).
+        for (seed, worn) in [(3u64, false), (11, true), (29, false), (57, true)] {
+            let config =
+                ControllerConfig::protected(DriftSpec::accelerated(seed, 390.0, 2e-4), 30.0);
+            let build = || {
+                let backend = if worn {
+                    FeramBackend::tiny()
+                        .with_faults(FaultSpec::none(seed).with_wear_budget(400))
+                        .with_policy(DegradationPolicy {
+                            scratch_rotation_fraction: 0.5,
+                            ..DegradationPolicy::none()
+                        })
+                } else {
+                    FeramBackend::tiny()
+                };
+                ReliabilityController::new(backend, config.clone())
+            };
+            let (mut fast, mut oracle) = (build(), build());
+            let words = fast.geometry().row_words();
+            let mut script = StdRng::seed_from_u64(seed ^ 0xc0de);
+            let mut flips_seen = false;
+            for step in 0..40 {
+                let mut outcomes = Vec::new();
+                for _ in 0..script.gen_range(0..12) {
+                    let (a, b, d) = (
+                        RowId(script.gen_range(0..24u64)),
+                        RowId(script.gen_range(0..24u64)),
+                        RowId(script.gen_range(0..24u64)),
+                    );
+                    let word = script.gen::<u64>();
+                    let kind = script.gen_range(0..4u8);
+                    for c in [&mut fast, &mut oracle] {
+                        outcomes.push(match kind {
+                            0 => c.write_row(d, &row_of(words, word)).map(|()| Vec::new()),
+                            1 => c.xor(a, b, d).map(|()| Vec::new()),
+                            2 => c.and(a, b, d).map(|()| Vec::new()),
+                            _ => c.read_row(a),
+                        });
+                    }
+                }
+                let dt = [0.0, 1.0, 10.0, 60.0][script.gen_range(0..4usize)];
+                let fast_tick = fast.tick(dt);
+                assert_eq!(
+                    fast_tick,
+                    reference_tick(&mut oracle, dt),
+                    "seed {seed} step {step}"
+                );
+                for pair in outcomes.chunks(2) {
+                    assert_eq!(pair[0], pair[1], "seed {seed} step {step}");
+                }
+                assert_eq!(fast.controller_stats(), oracle.controller_stats());
+                assert_eq!(fast.health(), oracle.health());
+                let (mut f, mut o) = (Vec::new(), Vec::new());
+                fast.drift.encode_state(&mut f);
+                oracle.drift.encode_state(&mut o);
+                assert_eq!(f, o, "seed {seed} step {step}");
+                for row in 0..24 {
+                    assert_eq!(fast.peek_row(RowId(row)), oracle.peek_row(RowId(row)));
+                }
+                assert_eq!(fast.snapshot_state(), oracle.snapshot_state());
+                flips_seen |= fast.drift().flips_injected() > 0;
+                if step == 20 && !worn {
+                    let (mut f2, mut o2) = (build(), build());
+                    assert!(f2.restore_state(&fast.snapshot_state().unwrap()));
+                    assert!(o2.restore_state(&oracle.snapshot_state().unwrap()));
+                    (fast, oracle) = (f2, o2);
+                }
+            }
+            assert!(flips_seen, "seed {seed}: drift never flipped a bit");
+            assert!(
+                fast.controller_stats().scrub_rewrites > 0,
+                "seed {seed}: no patrol rewrite"
+            );
+            if worn {
+                let wear = fast.health().max_wear_fraction;
+                assert!(wear > 0.01 && wear < 1.0, "seed {seed}: wear {wear}");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! per-row XOR masks from one seed, so a drift campaign reproduces bit
 //! for bit.
 
-use crate::geometry::{MemoryGeometry, RowId, RowMap};
+use crate::geometry::{MemoryGeometry, RowHasher, RowId, RowMap};
 use felim_cell::margin::MarginReport;
 use felim_ferro::imprint::ImprintModel;
 use felim_ferro::retention::RetentionModel;
@@ -35,6 +35,9 @@ use felim_telemetry::CachedCounter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// The drift environment: which physical processes run, how hot the die
 /// is, and the single seed the whole fault stream derives from.
@@ -107,6 +110,28 @@ impl DriftSpec {
         }
     }
 
+    /// Survival of the two hold-time processes, retention and imprint,
+    /// over the hold interval `(hold_start, hold_end]`: the factor
+    /// `(1 − p_ret) · (1 − p_imp)` that leads the survival product in
+    /// [`DriftProcess::row_flip_probability`], computed by the same
+    /// operations in the same order. It depends on nothing but the spec
+    /// and the two hold times, so rows written at the same instant share
+    /// it.
+    fn hold_survival(&self, hold_start: f64, hold_end: f64) -> f64 {
+        let t_k = self.temperature_k;
+        let p_ret = self
+            .retention
+            .bit_failure_hazard(hold_start, hold_end, t_k, self.sense_floor);
+        let p_imp_end = self
+            .imprint
+            .bit_upset_probability(hold_end, t_k, self.sense_margin_v);
+        let p_imp_start = self
+            .imprint
+            .bit_upset_probability(hold_start, t_k, self.sense_margin_v);
+        let p_imp = (p_imp_end - p_imp_start).max(0.0);
+        (1.0 - p_ret) * (1.0 - p_imp)
+    }
+
     /// Sets the disturb tail from a Monte-Carlo margin study: the
     /// worst-case sense-failure rate becomes the per-read flip
     /// probability.
@@ -143,6 +168,19 @@ pub struct DriftProcess {
     rng: StdRng,
     now_s: f64,
     rows: RowMap<u64, RowDrift>,
+    /// The keys of `rows` in ascending order: the walk order of every
+    /// sampling pass. A row joins it on its first write and never
+    /// leaves, since nothing untracks a row.
+    order: Vec<u64>,
+    /// [`DriftSpec::hold_survival`] per exact `(hold_start, hold_end)`
+    /// bit pattern, emptied by every [`DriftProcess::tick`]. Within one
+    /// tick every row last written at the same instant has the same
+    /// hold interval, so the pass evaluates the hazard once per write
+    /// time rather than once per row. A hit returns the value the same
+    /// pure function gave for the same arguments, so the cache changes
+    /// no bit of any probability. It holds at most one entry per
+    /// tracked row, which the geometry bounds.
+    hold_cache: HashMap<(u64, u64), f64, BuildHasherDefault<RowHasher>>,
     ticks: u64,
     flips_injected: u64,
 }
@@ -169,6 +207,8 @@ impl DriftProcess {
             rng,
             now_s: 0.0,
             rows: RowMap::default(),
+            order: Vec::new(),
+            hold_cache: HashMap::default(),
             ticks: 0,
             flips_injected: 0,
         }
@@ -205,7 +245,14 @@ impl DriftProcess {
     /// Marks `row` as freshly written: its hold time and disturb count
     /// restart, and it is tracked from now on.
     pub fn note_write(&mut self, row: RowId) {
-        let state = self.rows.entry(row.0).or_default();
+        let state = match self.rows.entry(row.0) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                let at = self.order.partition_point(|&k| k < row.0);
+                self.order.insert(at, row.0);
+                entry.insert(RowDrift::default())
+            }
+        };
         state.last_write_s = self.now_s;
         state.reads_since_write = 0;
         state.reads_charged = 0;
@@ -220,11 +267,29 @@ impl DriftProcess {
     }
 
     /// Tracked rows in ascending order — the deterministic iteration
-    /// order every sampling pass must use.
+    /// order every sampling pass must use. A fresh copy of the order the
+    /// process keeps.
     pub fn tracked_rows(&self) -> Vec<RowId> {
-        let mut rows: Vec<RowId> = self.rows.keys().map(|&r| RowId(r)).collect();
-        rows.sort();
-        rows
+        self.tracked().collect()
+    }
+
+    /// Tracked rows in ascending order, borrowed.
+    pub(crate) fn tracked(&self) -> impl Iterator<Item = RowId> + '_ {
+        self.order.iter().map(|&r| RowId(r))
+    }
+
+    /// How many rows are tracked.
+    pub(crate) fn tracked_count(&self) -> usize {
+        self.order.len()
+    }
+
+    /// The `index`-th tracked row in ascending order, `None` past the
+    /// last. Rows only ever join the order, and only through
+    /// [`DriftProcess::note_write`] of a row not yet tracked, so a pass
+    /// that writes only tracked rows can walk the indices while it
+    /// samples and rewrites them.
+    pub(crate) fn tracked_row(&self, index: usize) -> Option<RowId> {
+        self.order.get(index).map(|&r| RowId(r))
     }
 
     /// Advances the process clock by `dt_s`. The caller then samples
@@ -238,12 +303,14 @@ impl DriftProcess {
         assert!(dt_s.is_finite() && dt_s >= 0.0, "bad tick dt {dt_s}");
         self.now_s += dt_s;
         self.ticks += 1;
+        self.hold_cache.clear();
     }
 
     /// The per-bit upset probability `row` accumulated over the last
     /// tick interval `(now − dt, now]`, given its current wear
     /// fraction. Pure — the sampling draw happens in
-    /// [`DriftProcess::sample_row`].
+    /// [`DriftProcess::sample_row`], which reaches the same value
+    /// through the per-tick hold-time cache.
     pub fn row_flip_probability(&self, row: RowId, dt_s: f64, wear_fraction: f64) -> f64 {
         let Some(state) = self.rows.get(&row.0) else {
             return 0.0;
@@ -291,11 +358,38 @@ impl DriftProcess {
         dt_s: f64,
         wear_fraction: f64,
     ) -> Option<Vec<u64>> {
+        let p = self.charge_row(row, dt_s, wear_fraction);
+        self.draw_mask(p, words)
+    }
+
+    /// [`DriftProcess::row_flip_probability`], with the hold-time factor
+    /// taken from the per-tick cache, and the row's pending disturb
+    /// reads marked as charged (whatever the probability comes to: the
+    /// charge is part of the snapshot).
+    fn charge_row(&mut self, row: RowId, dt_s: f64, wear_fraction: f64) -> f64 {
+        let Some(state) = self.rows.get_mut(&row.0) else {
+            return 0.0;
+        };
+        let spec = &self.spec;
+        let hold_end = (self.now_s - state.last_write_s).max(0.0);
+        let hold_start = (hold_end - dt_s).max(0.0);
+        let hold = *self
+            .hold_cache
+            .entry((hold_start.to_bits(), hold_end.to_bits()))
+            .or_insert_with(|| spec.hold_survival(hold_start, hold_end));
+        let new_reads = state.reads_since_write - state.reads_charged;
+        state.reads_charged = state.reads_since_write;
+        let p_disturb = 1.0 - (1.0 - spec.disturb_per_read).powi(new_reads.min(1 << 30) as i32);
+        let survive = hold * (1.0 - p_disturb);
+        let p = 1.0 - survive;
+        let wear_scale = 1.0 + spec.wear_acceleration * wear_fraction.clamp(0.0, 1.0);
+        (p * wear_scale).clamp(0.0, 1.0)
+    }
+
+    /// One Bernoulli(`p`) draw per bit of a `words`-word row; `None`
+    /// (and no draw) when `p <= 0`, or when no bit flipped.
+    fn draw_mask(&mut self, p: f64, words: usize) -> Option<Vec<u64>> {
         static FLIPS: CachedCounter = CachedCounter::new("arch.drift.flips");
-        let p = self.row_flip_probability(row, dt_s, wear_fraction);
-        if let Some(state) = self.rows.get_mut(&row.0) {
-            state.reads_charged = state.reads_since_write;
-        }
         if p <= 0.0 {
             return None;
         }
@@ -315,6 +409,25 @@ impl DriftProcess {
         self.flips_injected += flips;
         FLIPS.add(flips);
         Some(mask)
+    }
+
+    /// [`DriftProcess::sample_row`] as it ran before the hold-time
+    /// cache: the pure [`DriftProcess::row_flip_probability`], then the
+    /// charge and the draw. The oracle the cached path is tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn reference_sample_row(
+        &mut self,
+        row: RowId,
+        words: usize,
+        dt_s: f64,
+        wear_fraction: f64,
+    ) -> Option<Vec<u64>> {
+        let p = self.row_flip_probability(row, dt_s, wear_fraction);
+        if let Some(state) = self.rows.get_mut(&row.0) {
+            state.reads_charged = state.reads_since_write;
+        }
+        self.draw_mask(p, words)
     }
 
     /// Appends the full process state to a state snapshot: the spec
@@ -373,7 +486,7 @@ impl DriftProcess {
         }
         let ticks = take_u64(buf, &mut probe)?;
         let flips_injected = take_u64(buf, &mut probe)?;
-        let rows = take_run(buf, &mut probe, 32, |buf, pos| {
+        let rows: RowMap<u64, RowDrift> = take_run(buf, &mut probe, 32, |buf, pos| {
             let key = take_u64(buf, pos)?;
             let state = RowDrift {
                 last_write_s: take_f64(buf, pos)?,
@@ -391,6 +504,8 @@ impl DriftProcess {
         self.now_s = now_s;
         self.ticks = ticks;
         self.flips_injected = flips_injected;
+        self.order = rows.keys().copied().collect();
+        self.order.sort_unstable();
         self.rows = rows;
         *pos = probe;
         Some(())
@@ -633,6 +748,108 @@ mod tests {
         let mut target = DriftProcess::new(hot(44));
         assert!(target.restore_state(tiny(), &good, &mut 0).is_some());
         assert_eq!(target.now_s(), 120.0);
+    }
+
+    fn state_bytes(p: &DriftProcess) -> Vec<u8> {
+        let mut out = Vec::new();
+        p.encode_state(&mut out);
+        out
+    }
+
+    /// A snapshot restored into a fresh process built from `spec`.
+    fn restored(spec: &DriftSpec, from: &DriftProcess) -> DriftProcess {
+        let mut p = DriftProcess::new(spec.clone());
+        let snap = state_bytes(from);
+        assert!(p.restore_state(tiny(), &snap, &mut 0).is_some());
+        p
+    }
+
+    #[test]
+    fn cached_tick_matches_the_per_row_oracle() {
+        // Rows written in bursts at mixed instants (so some hold
+        // intervals are shared and some are not), reads pending across
+        // ticks, wear fractions at 0, 1 and in between, a zero-length
+        // tick, and a snapshot restore midway: the cached pass over the
+        // walk order must reproduce the per-row oracle over a fresh
+        // `tracked_rows()` copy in every mask, counter, generator word
+        // and snapshot byte.
+        const ROWS: u64 = 48;
+        const WORDS: usize = 4;
+        for seed in [1u64, 7, 42, 2024] {
+            let spec = DriftSpec::accelerated(seed, 390.0, 2e-3);
+            let mut script = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let wear: Vec<f64> = (0..ROWS)
+                .map(|row| match row % 3 {
+                    0 => 0.0,
+                    1 => script.gen::<f64>(),
+                    _ => 1.0,
+                })
+                .collect();
+            let mut fast = DriftProcess::new(spec.clone());
+            let mut oracle = DriftProcess::new(spec.clone());
+            let (mut shared, mut flipped) = (false, false);
+            for step in 0..80 {
+                for _ in 0..script.gen_range(0..6) {
+                    let row = RowId(script.gen_range(0..ROWS));
+                    fast.note_write(row);
+                    oracle.note_write(row);
+                }
+                for _ in 0..script.gen_range(0..24) {
+                    let row = RowId(script.gen_range(0..ROWS));
+                    fast.note_read(row);
+                    oracle.note_read(row);
+                }
+                let dt = [0.0, 60.0, 600.0, 3600.0][script.gen_range(0..4usize)];
+                fast.tick(dt);
+                oracle.tick(dt);
+                let mut fast_masks = Vec::new();
+                let mut index = 0;
+                while let Some(row) = fast.tracked_row(index) {
+                    let mask = fast.sample_row(row, WORDS, dt, wear[row.0 as usize]);
+                    fast_masks.push((row, mask));
+                    index += 1;
+                }
+                let oracle_masks: Vec<_> = oracle
+                    .tracked_rows()
+                    .into_iter()
+                    .map(|row| {
+                        let mask =
+                            oracle.reference_sample_row(row, WORDS, dt, wear[row.0 as usize]);
+                        (row, mask)
+                    })
+                    .collect();
+                assert_eq!(fast_masks, oracle_masks, "seed {seed} step {step}");
+                assert_eq!(fast.flips_injected(), oracle.flips_injected());
+                assert_eq!(fast.rng.state(), oracle.rng.state());
+                assert_eq!(
+                    state_bytes(&fast),
+                    state_bytes(&oracle),
+                    "seed {seed} step {step}"
+                );
+                shared |= fast.hold_cache.len() < fast.tracked_count();
+                flipped |= fast_masks.iter().any(|(_, m)| m.is_some());
+                if step == 40 {
+                    fast = restored(&spec, &fast);
+                    oracle = restored(&spec, &oracle);
+                }
+            }
+            assert!(shared, "seed {seed}: no tick shared a hold interval");
+            assert!(flipped, "seed {seed}: the compared masks are all empty");
+        }
+    }
+
+    #[test]
+    fn walk_order_is_ascending_and_survives_a_restore() {
+        let mut p = DriftProcess::new(hot(46));
+        for row in [9, 3, 40, 3, 0, 17, 9] {
+            p.note_write(RowId(row));
+        }
+        let order: Vec<u64> = p.tracked().map(|r| r.0).collect();
+        assert_eq!(order, vec![0, 3, 9, 17, 40]);
+        assert_eq!(p.tracked_count(), 5);
+        assert_eq!(p.tracked_row(5), None);
+        let back = restored(&hot(46), &p);
+        assert_eq!(back.tracked_rows(), p.tracked_rows());
     }
 
     #[test]

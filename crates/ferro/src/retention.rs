@@ -108,13 +108,10 @@ impl RetentionModel {
     ///
     /// Panics unless `floor ∈ (0, 1)`.
     pub fn bit_failure_probability(&self, t_s: f64, t_k: f64, floor: f64) -> f64 {
-        /// Weibull shape of the per-bit lifetime distribution.
-        const BIT_LIFETIME_SHAPE: f64 = 3.0;
         if t_s <= 0.0 {
             return 0.0;
         }
-        let t_fail = self.retention_time_s(floor, t_k);
-        1.0 - (-(t_s / t_fail).powf(BIT_LIFETIME_SHAPE)).exp()
+        weibull_cdf(t_s, self.retention_time_s(floor, t_k))
     }
 
     /// Incremental per-bit failure probability over the interval
@@ -128,14 +125,29 @@ impl RetentionModel {
     /// Panics unless `floor ∈ (0, 1)` or if `t1_s < t0_s`.
     pub fn bit_failure_hazard(&self, t0_s: f64, t1_s: f64, t_k: f64, floor: f64) -> f64 {
         assert!(t1_s >= t0_s, "interval must advance: {t0_s} → {t1_s}");
-        let f0 = self.bit_failure_probability(t0_s, t_k, floor);
-        let f1 = self.bit_failure_probability(t1_s, t_k, floor);
+        // Both ends share one figure of merit; the interval itself is
+        // what the hazard differences.
+        let t_fail = self.retention_time_s(floor, t_k);
+        let f0 = weibull_cdf(t0_s, t_fail);
+        let f1 = weibull_cdf(t1_s, t_fail);
         let survival = 1.0 - f0;
         if survival <= f64::EPSILON {
             return 1.0;
         }
         ((f1 - f0) / survival).clamp(0.0, 1.0)
     }
+}
+
+/// The per-bit lifetime CDF of
+/// [`RetentionModel::bit_failure_probability`] at hold time `t_s`
+/// around the figure of merit `t_fail`: 0 for `t_s <= 0`.
+fn weibull_cdf(t_s: f64, t_fail: f64) -> f64 {
+    /// Weibull shape of the per-bit lifetime distribution.
+    const BIT_LIFETIME_SHAPE: f64 = 3.0;
+    if t_s <= 0.0 {
+        return 0.0;
+    }
+    1.0 - (-(t_s / t_fail).powf(BIT_LIFETIME_SHAPE)).exp()
 }
 
 impl Default for RetentionModel {
@@ -245,6 +257,44 @@ mod tests {
         let direct = 1.0 - model.bit_failure_probability(ts[3], t_k, floor);
         assert!((survival - direct).abs() < 1e-12, "{survival} vs {direct}");
         assert!(direct < 1.0 - 1e-4, "interval must not be degenerate");
+    }
+
+    #[test]
+    fn hazard_is_bit_identical_to_differencing_two_cdf_calls() {
+        // The formula before the figure of merit was shared between the
+        // two ends: each end called `bit_failure_probability`, and so
+        // `retention_time_s`, on its own.
+        fn two_call_hazard(m: &RetentionModel, t0: f64, t1: f64, t_k: f64, floor: f64) -> f64 {
+            let f0 = m.bit_failure_probability(t0, t_k, floor);
+            let f1 = m.bit_failure_probability(t1, t_k, floor);
+            let survival = 1.0 - f0;
+            if survival <= f64::EPSILON {
+                return 1.0;
+            }
+            ((f1 - f0) / survival).clamp(0.0, 1.0)
+        }
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let compressed = RetentionModel {
+            tau_300k_s: 2e9,
+            ..m()
+        };
+        let mut rng = StdRng::seed_from_u64(27);
+        for i in 0..20_000 {
+            let model = if i % 2 == 0 { m() } else { compressed };
+            let t_k = rng.gen_range(250.0..450.0);
+            let floor = rng.gen_range(0.05..0.95);
+            // Hold times from zero (and the exact-zero start of a fresh
+            // row) out past the figure of merit.
+            let t0 = match i % 4 {
+                0 => 0.0,
+                _ => 10f64.powf(rng.gen_range(-3.0..11.0)),
+            };
+            let t1 = t0 + 10f64.powf(rng.gen_range(-3.0..10.0)) * f64::from(i % 5 != 0);
+            let shared = model.bit_failure_hazard(t0, t1, t_k, floor);
+            let apart = two_call_hazard(&model, t0, t1, t_k, floor);
+            assert_eq!(shared.to_bits(), apart.to_bits(), "({t0}, {t1}, {t_k}, {floor})");
+        }
     }
 
     #[test]

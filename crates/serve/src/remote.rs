@@ -33,7 +33,7 @@
 //!
 //! [`BulkService`]: crate::BulkService
 
-use crate::shard::{Shard, ShardBatchOutcome, Technology};
+use crate::shard::{snapshot_len_bound, Shard, ShardBatchOutcome, Technology};
 use crate::wire::{self, Frame, TransportErrorKind, WireError, WIRE_VERSION};
 use crate::ServeError;
 use felim_arch::batch::RowOp;
@@ -456,10 +456,13 @@ impl RemoteShard {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Transport`] on link failure, a non-chunk reply, or
-    /// chunks that do not assemble into the advertised total.
+    /// [`ServeError::Transport`] on link failure, a non-chunk reply,
+    /// chunks that do not assemble into the advertised total, or a total
+    /// above [`snapshot_len_bound`] of this session's geometry (refused
+    /// before any chunk is buffered).
     pub fn fetch_snapshot(&mut self) -> Result<Option<Vec<u8>>, ServeError> {
         self.require_idle("fetch_snapshot")?;
+        let bound = snapshot_len_bound(&self.params.geometry);
         let mut snapshot = Vec::new();
         loop {
             let offset = snapshot.len() as u64;
@@ -486,6 +489,14 @@ impl RemoteShard {
             };
             if total_len == 0 {
                 return Ok(None);
+            }
+            // A claim past what this shard's geometry could encode is
+            // refused before a byte of it is kept.
+            if total_len > bound {
+                return Err(self.poison(WireError::new(
+                    TransportErrorKind::Protocol,
+                    format!("snapshot of {total_len} bytes exceeds this shard's bound of {bound}"),
+                )));
             }
             if got_offset != offset || data.is_empty() || offset + data.len() as u64 > total_len {
                 return Err(self.poison(WireError::new(

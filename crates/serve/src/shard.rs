@@ -165,20 +165,10 @@ impl Shard {
     }
 
     /// An upper bound on the length of any snapshot this shard can
-    /// encode, from its geometry alone. Per row, a FeRAM snapshot holds
-    /// three keyed bit-planes (`3 × (row_bytes + 16)`) and at most one
-    /// entry in each keyed side-band: disturb counter, wear counter,
-    /// remap, spare, ECC checks (`row_bytes / 8 + 16`) and drift clock,
-    /// under `3.2 × row_bytes + 160` bytes in all. The bound allows
-    /// `4 × row_bytes + 256` per row plus 1 MiB for the fixed-size
-    /// sections. The daemon refuses a snapshot push that claims more.
+    /// encode: [`snapshot_len_bound`] of its geometry. The daemon
+    /// refuses a snapshot push that claims more.
     pub fn snapshot_len_bound(&self) -> u64 {
-        let geometry = self.backend.geometry();
-        let per_row = geometry.row_bytes.saturating_mul(4).saturating_add(256);
-        geometry
-            .total_rows()
-            .saturating_mul(per_row)
-            .saturating_add(1 << 20)
+        snapshot_len_bound(self.backend.geometry())
     }
 
     /// Restores the backend from a [`snapshot_state`](Self::snapshot_state)
@@ -192,6 +182,22 @@ impl Shard {
     pub fn health(&self) -> ControllerHealth {
         self.backend.health()
     }
+}
+
+/// An upper bound on the length of any snapshot a shard of `geometry`
+/// can encode, from the geometry alone. Per row, a FeRAM snapshot holds
+/// three keyed bit-planes (`3 × (row_bytes + 16)`) and at most one entry
+/// in each keyed side-band: disturb counter, wear counter, remap, spare,
+/// ECC checks (`row_bytes / 8 + 16`) and drift clock, under
+/// `3.2 × row_bytes + 160` bytes in all. The bound allows
+/// `4 × row_bytes + 256` per row plus 1 MiB for the fixed-size
+/// sections. Both ends of a snapshot transfer hold the peer to it.
+pub fn snapshot_len_bound(geometry: &MemoryGeometry) -> u64 {
+    let per_row = geometry.row_bytes.saturating_mul(4).saturating_add(256);
+    geometry
+        .total_rows()
+        .saturating_mul(per_row)
+        .saturating_add(1 << 20)
 }
 
 #[cfg(test)]

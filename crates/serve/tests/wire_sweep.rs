@@ -16,8 +16,11 @@ use felim_arch::geometry::{MemoryGeometry, RowId};
 use felim_arch::ArchError;
 use felim_exec::derive_seed;
 use felim_serve::remote::run_session_mux;
-use felim_serve::shard::ShardBatchOutcome;
-use felim_serve::{Frame, SlotRegistry, Technology, TransportErrorKind, MAX_FRAME, WIRE_VERSION};
+use felim_serve::shard::{snapshot_len_bound, ShardBatchOutcome};
+use felim_serve::{
+    ConnectRetry, Frame, RemoteShard, ServeError, SlotRegistry, Technology, TransportErrorKind,
+    MAX_FRAME, WIRE_VERSION,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -211,6 +214,76 @@ fn an_oversized_snapshot_push_is_refused_unbuffered() {
     assert!(
         largest < 2 * CHUNK + (64 << 10),
         "{largest}-byte allocation for {CHUNKS} refused chunks of {CHUNK} bytes"
+    );
+}
+
+/// The same claim in the other direction: a daemon that answers a
+/// snapshot pull with a `total_len` its shard's geometry could never
+/// encode, and streams chunks toward it, poisons the client session as
+/// a protocol failure at the first chunk, and the client buffers none
+/// of them.
+#[test]
+fn an_oversized_snapshot_pull_is_refused_unbuffered() {
+    const CHUNK: usize = 512 << 10;
+    const CHUNKS: usize = 12;
+    const CLAIM: u64 = 64 << 20;
+    let geometry = MemoryGeometry::tiny();
+    assert!(CLAIM > snapshot_len_bound(&geometry));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let daemon = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().expect("accept");
+        let hello = Frame::read_from(&mut s).expect("hello");
+        assert!(matches!(hello, Frame::Hello { .. }), "{}", hello.name());
+        Frame::HelloAck {
+            version: WIRE_VERSION,
+            data_rows: 1,
+        }
+        .write_to(&mut s)
+        .expect("hello ack");
+        let data = vec![0xa5; CHUNK];
+        let mut served = 0;
+        // Serve pulls until the client stops asking or the chunks run
+        // out, then hang up.
+        while served < CHUNKS {
+            let Ok(Frame::SnapshotPull { seq, offset, .. }) = Frame::read_from(&mut s) else {
+                break;
+            };
+            let chunk = Frame::SnapshotChunk {
+                seq,
+                offset,
+                total_len: CLAIM,
+                data: data.clone(),
+            };
+            if chunk.write_to(&mut s).is_err() {
+                break;
+            }
+            served += 1;
+        }
+        served
+    });
+    let mut remote = RemoteShard::connect(
+        &addr.to_string(),
+        Technology::Feram,
+        geometry,
+        None,
+        ConnectRetry::default(),
+    )
+    .expect("connect");
+    let (result, largest) = largest_during(|| remote.fetch_snapshot());
+    drop(remote);
+    let served = daemon.join().expect("daemon thread");
+    match result {
+        Err(ServeError::Transport { kind, .. }) => {
+            assert_eq!(kind, TransportErrorKind::Protocol, "after {served} chunks")
+        }
+        other => panic!("expected a protocol failure, got {other:?}"),
+    }
+    assert_eq!(served, 1, "refused at the first chunk");
+    // The chunk frame's own buffers are allowed; the claim is not.
+    assert!(
+        largest < 2 * CHUNK + (64 << 10),
+        "{largest}-byte allocation for {served} chunks of {CHUNK} bytes"
     );
 }
 
