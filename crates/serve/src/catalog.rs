@@ -45,6 +45,19 @@ impl VectorPlacement {
     }
 }
 
+/// Dense id of a catalog vector: its index in creation order. Vectors
+/// are never deleted, so an id names the same vector for the catalog's
+/// whole lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VectorId(usize);
+
+impl VectorId {
+    /// The id as a dense index (creation order, from 0).
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// The service's name → placement registry plus the per-shard bump
 /// allocator over each shard's usable data rows.
 #[derive(Debug, Clone)]
@@ -54,7 +67,10 @@ pub struct Catalog {
     /// compute/scratch/spare region).
     data_rows_per_shard: u64,
     next_free: Vec<u64>,
-    vectors: HashMap<String, VectorPlacement>,
+    /// Placements in creation order, indexed by [`VectorId`].
+    placements: Vec<VectorPlacement>,
+    /// Name → id.
+    ids: HashMap<String, VectorId>,
 }
 
 impl Catalog {
@@ -65,7 +81,8 @@ impl Catalog {
             shards,
             data_rows_per_shard,
             next_free: vec![0; shards as usize],
-            vectors: HashMap::new(),
+            placements: Vec::new(),
+            ids: HashMap::new(),
         }
     }
 
@@ -84,7 +101,7 @@ impl Catalog {
                 vector: name.to_owned(),
             });
         }
-        if self.vectors.contains_key(name) {
+        if self.ids.contains_key(name) {
             return Err(ServeError::VectorExists {
                 vector: name.to_owned(),
             });
@@ -104,11 +121,10 @@ impl Catalog {
         for s in 0..u64::from(self.shards) {
             self.next_free[s as usize] += stripe(s);
         }
-        let placement = VectorPlacement { rows, shard_base };
-        Ok(self
-            .vectors
-            .entry(name.to_owned())
-            .or_insert(placement))
+        let id = VectorId(self.placements.len());
+        self.ids.insert(name.to_owned(), id);
+        self.placements.push(VectorPlacement { rows, shard_base });
+        Ok(self.placement(id))
     }
 
     /// Looks up a vector's placement.
@@ -117,19 +133,37 @@ impl Catalog {
     ///
     /// [`ServeError::UnknownVector`] when no such name is registered.
     pub fn get(&self, name: &str) -> Result<&VectorPlacement, ServeError> {
-        self.vectors.get(name).ok_or_else(|| ServeError::UnknownVector {
-            vector: name.to_owned(),
-        })
+        self.resolve(name).map(|id| self.placement(id))
+    }
+
+    /// Looks up a vector's id.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownVector`] when no such name is registered.
+    pub(crate) fn resolve(&self, name: &str) -> Result<VectorId, ServeError> {
+        self.ids
+            .get(name)
+            .copied()
+            .ok_or_else(|| ServeError::UnknownVector {
+                vector: name.to_owned(),
+            })
+    }
+
+    /// The placement of the vector with id `id` (an id this catalog
+    /// handed out).
+    pub(crate) fn placement(&self, id: VectorId) -> &VectorPlacement {
+        &self.placements[id.0]
     }
 
     /// Number of registered vectors.
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.placements.len()
     }
 
     /// Is the catalog empty?
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.placements.is_empty()
     }
 
     /// Local rows still allocatable on the fullest shard's complement —

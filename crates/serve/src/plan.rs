@@ -420,7 +420,13 @@ impl KernelPlan {
 
     /// Names of the catalog vectors the kernel writes.
     pub fn output_names(&self) -> impl Iterator<Item = &str> {
-        self.output_vectors.iter().map(|&v| self.vectors[v].as_str())
+        self.output_indices().map(|v| self.vectors[v].as_str())
+    }
+
+    /// Table indices (see [`vector_names`](Self::vector_names)) of the
+    /// catalog vectors the kernel writes.
+    pub fn output_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.output_vectors.iter().copied()
     }
 
     /// Scratch rows the plan needs per shard for `rows`-row vectors

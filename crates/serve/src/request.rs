@@ -159,24 +159,6 @@ impl LogicalOp {
             LogicalOp::Kernel { .. } => "kernel",
         }
     }
-
-    /// Names of the vectors this op touches, operands before results.
-    pub fn vectors(&self) -> Vec<&str> {
-        match self {
-            LogicalOp::Not { src, dst } | LogicalOp::Copy { src, dst } => vec![src, dst],
-            LogicalOp::And { a, b, dst }
-            | LogicalOp::Or { a, b, dst }
-            | LogicalOp::Xor { a, b, dst }
-            | LogicalOp::Nand { a, b, dst }
-            | LogicalOp::Nor { a, b, dst }
-            | LogicalOp::Xnor { a, b, dst } => vec![a, b, dst],
-            LogicalOp::Write { dst, .. } => vec![dst],
-            LogicalOp::Read { src } => vec![src],
-            LogicalOp::Kernel { bindings, .. } => {
-                bindings.iter().map(|(_, v)| v.as_str()).collect()
-            }
-        }
-    }
 }
 
 /// Payload of a successfully served request.
@@ -248,19 +230,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vectors_and_mnemonics() {
+    fn mnemonics_name_the_op() {
         let op = LogicalOp::Nand {
             a: "x".into(),
             b: "y".into(),
             dst: "z".into(),
         };
-        assert_eq!(op.vectors(), vec!["x", "y", "z"]);
         assert_eq!(op.mnemonic(), "nand");
         let w = LogicalOp::Write {
             dst: "x".into(),
             words: vec![1],
         };
-        assert_eq!(w.vectors(), vec!["x"]);
+        assert_eq!(w.mnemonic(), "write");
         let k = LogicalOp::Kernel {
             program: "d = a & b".into(),
             bindings: vec![
@@ -270,7 +251,6 @@ mod tests {
             ],
         };
         assert_eq!(k.mnemonic(), "kernel");
-        assert_eq!(k.vectors(), vec!["va", "vb", "vd"]);
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //! [`ServeError::RetriesExhausted`]. Every submission — accepted or not
 //! — produces exactly one [`ServeResponse`].
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, VectorId};
 use crate::dsl::Program;
-use crate::plan::KernelPlan;
+use crate::plan::{KernelPlan, KernelPlanError};
 use crate::remote::{lock, ConnectRetry, PoolMember, RemoteShard};
 use crate::replica::{ReplicaManager, ReplicaStats, ReplicationConfig};
 use crate::request::{
@@ -51,9 +51,10 @@ use felim_arch::energy::LatencyModel;
 use felim_arch::geometry::{MemoryGeometry, RowId};
 use felim_arch::shard::{ShardId, ShardMap};
 use felim_arch::ArchError;
-use felim_exec::{derive_seed, fnv1a_str, ExecPool};
+use felim_exec::{derive_seed, ExecPool};
 use felim_telemetry as telemetry;
 use serde::Serialize;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -202,36 +203,60 @@ impl ServiceConfig {
     }
 }
 
-/// A request's op as admitted. Kernels parse and compile at admission,
-/// so their variant carries the compiled plan and dispatch never looks
-/// at program text again.
+/// A request's op as admitted: every vector name resolved to its
+/// catalog id, and kernels compiled. Dispatch, the read cache and
+/// settlement work from ids and never look a name up.
 enum AdmittedOp {
-    /// Any op but a kernel (never `LogicalOp::Kernel`).
-    Op(LogicalOp),
-    /// A kernel's compiled schedule and the row count its bound vectors
-    /// share.
+    /// Not, Copy and the six binary logic ops, with the op kind as its
+    /// row-op constructor: row `k` of each stripe gives
+    /// `row_op(a, b, dst)`. The unary ops have `b == a` and ignore it.
+    RowWise { row_op: RowOpFn, a: VectorId, b: VectorId, dst: VectorId },
+    /// Host write of a cyclic word pattern.
+    Write { dst: VectorId, words: Vec<u64> },
+    /// Host read of a whole vector.
+    Read { src: VectorId },
+    /// A kernel's compiled schedule, the row count its bound vectors
+    /// share, and the ids of the plan's vectors in table order.
     Kernel {
         /// Compiled once at admission (or taken from the plan cache).
         plan: Arc<KernelPlan>,
         /// Rows of every bound vector.
         rows: u64,
+        /// `vectors[i]` is the id of `plan.vector_names()`'s `i`-th.
+        vectors: Vec<VectorId>,
     },
 }
 
-impl AdmittedOp {
-    /// The submitted op's [`LogicalOp::mnemonic`].
-    fn mnemonic(&self) -> &'static str {
-        match self {
-            AdmittedOp::Op(op) => op.mnemonic(),
-            AdmittedOp::Kernel { .. } => "kernel",
-        }
+/// A row-wise op kind as its row-op constructor, over one row of each
+/// of `(a, b, dst)`.
+type RowOpFn = fn(RowId, RowId, RowId) -> RowOp;
+
+/// Resolves `name` to its catalog id, checking that it has the `rows`
+/// rows of the op's first vector `left`.
+fn resolve_like(
+    catalog: &Catalog,
+    name: &str,
+    (left, rows): (&str, u64),
+) -> Result<VectorId, ServeError> {
+    let id = catalog.resolve(name)?;
+    let right_rows = catalog.placement(id).rows;
+    if right_rows != rows {
+        return Err(ServeError::ShapeMismatch {
+            left: left.to_owned(),
+            left_rows: rows,
+            right: name.to_owned(),
+            right_rows,
+        });
     }
+    Ok(id)
 }
 
 /// An admitted request waiting for (or between) dispatches.
 struct PendingRequest {
     id: RequestId,
     tenant: TenantId,
+    /// The submitted op's [`LogicalOp::mnemonic`].
+    mnemonic: &'static str,
     op: AdmittedOp,
     deadline: Option<u64>,
     submitted_tick: u64,
@@ -390,10 +415,11 @@ pub struct BulkService {
     /// First local row of the per-shard kernel scratch region (the
     /// catalog allocates strictly below it).
     scratch_base: u64,
-    /// Content-addressed read cache: vector name → `(rows, digest)`,
-    /// valid while the vector is unwritten since the digest was taken.
-    read_cache: HashMap<String, (u64, u64)>,
-    /// Compiled-kernel cache keyed on (program digest, bindings):
+    /// Content-addressed read cache, indexed by [`VectorId`]: a
+    /// vector's `(rows, digest)`, valid while the vector is unwritten
+    /// since the digest was taken. One slot per catalog vector.
+    read_cache: Vec<Option<(u64, u64)>>,
+    /// Compiled-kernel cache keyed on (program text, bindings):
     /// repeated `Kernel` submissions of the same program against the
     /// same binding shape skip recompilation entirely.
     plan_cache: HashMap<PlanKey, Arc<KernelPlan>>,
@@ -405,9 +431,9 @@ pub struct BulkService {
     replicas: ReplicaManager,
 }
 
-/// Plan-cache key: the kernel program's content digest plus the exact
-/// (dst, src) binding list it was compiled against.
-type PlanKey = (u64, Vec<(String, String)>);
+/// Plan-cache key: the exact kernel program text plus the exact
+/// (dsl name, vector name) binding list it was compiled against.
+type PlanKey = (String, Vec<(String, String)>);
 
 /// One dispatch of a tick: `(stripe, replica, the stripe's ops)`, the
 /// ops shared by every replica of the stripe.
@@ -626,7 +652,7 @@ impl BulkService {
             energy_nj: 0.0,
             next_id: 0,
             scratch_base,
-            read_cache: HashMap::new(),
+            read_cache: Vec::new(),
             plan_cache: HashMap::new(),
             replicas,
             config,
@@ -675,7 +701,9 @@ impl BulkService {
     ///
     /// See [`Catalog::create`].
     pub fn create_vector(&mut self, name: &str, rows: u64) -> Result<(), ServeError> {
-        self.catalog.create(name, rows).map(|_| ())
+        self.catalog.create(name, rows)?;
+        self.read_cache.push(None);
+        Ok(())
     }
 
     /// Submits one request for `tenant`, optionally with a deadline
@@ -713,6 +741,7 @@ impl BulkService {
                 self.pending.push_back(PendingRequest {
                     id,
                     tenant,
+                    mnemonic,
                     op,
                     deadline: deadline_ticks.map(|d| self.now + d),
                     submitted_tick: self.now,
@@ -756,8 +785,9 @@ impl BulkService {
     }
 
     /// Validates a submission and returns the shards it will occupy,
-    /// plus the admitted op — kernels compiled (`&mut self` only to feed
-    /// the plan cache).
+    /// plus the admitted op: every vector name resolved to its catalog
+    /// id, kernels compiled (`&mut self` only to feed the plan cache).
+    /// After admission no code looks a vector name up.
     fn admit(
         &mut self,
         tenant: TenantId,
@@ -769,69 +799,114 @@ impl BulkService {
                 tenants: self.config.tenants,
             });
         }
-        if let LogicalOp::Write { words, .. } = &op {
-            if words.is_empty() {
-                return Err(ServeError::EmptyPattern);
-            }
-        }
-        // Kernels parse and plan at admission, before any queue state
-        // changes: a malformed program is rejected atomically, and the
-        // compiled plan rides with the request so dispatch just stamps
-        // it out per shard. Compilation is deterministic, so a plan
-        // keyed on (program digest, bindings) is reusable verbatim —
-        // repeated submissions of the same kernel skip the compiler.
-        let plan = if let LogicalOp::Kernel { program, bindings } = &op {
-            let key = (fnv1a_str(program), bindings.clone());
-            if let Some(cached) = self.plan_cache.get(&key) {
-                self.stats.plan_cache_hits += 1;
-                telemetry::counter("serve.kernel.plan_cache_hits").inc();
-                Some(Arc::clone(cached))
-            } else {
-                let parsed = Program::parse(program).map_err(|e| ServeError::KernelParse {
-                    position: e.position,
-                    message: e.message,
-                })?;
-                let plan = Arc::new(KernelPlan::compile(&parsed, bindings).map_err(|e| {
-                    ServeError::KernelPlan {
-                        message: e.to_string(),
-                    }
-                })?);
-                self.plan_cache.insert(key, Arc::clone(&plan));
-                Some(plan)
-            }
-        } else {
-            None
+        let catalog = &self.catalog;
+        // Names resolve in op order, operands before the destination:
+        // the first unknown name, or the first whose row count differs
+        // from the op's first vector's, is the error.
+        let first = |name: &str| catalog.resolve(name).map(|id| (id, catalog.placement(id).rows));
+        let row_wise = |row_op: RowOpFn, left: &str, b: Option<&str>, dst: &str| {
+            let (a, rows) = first(left)?;
+            let b = b.map_or(Ok(a), |b| resolve_like(catalog, b, (left, rows)))?;
+            let dst = resolve_like(catalog, dst, (left, rows))?;
+            Ok::<_, ServeError>((rows, AdmittedOp::RowWise { row_op, a, b, dst }))
         };
-        let names = op.vectors();
-        let mut rows = None;
-        for name in &names {
-            let placement = self.catalog.get(name)?;
-            match rows {
-                None => rows = Some(placement.rows),
-                Some(r) if r != placement.rows => {
-                    return Err(ServeError::ShapeMismatch {
-                        left: names[0].to_owned(),
-                        left_rows: r,
-                        right: (*name).to_owned(),
-                        right_rows: placement.rows,
+        let (rows, admitted) = match op {
+            LogicalOp::Not { src, dst } => {
+                row_wise(|src, _, dst| RowOp::Not { src, dst }, &src, None, &dst)?
+            }
+            LogicalOp::Copy { src, dst } => {
+                row_wise(|src, _, dst| RowOp::Copy { src, dst }, &src, None, &dst)?
+            }
+            LogicalOp::And { a, b, dst } => {
+                row_wise(|a, b, dst| RowOp::And { a, b, dst }, &a, Some(&b), &dst)?
+            }
+            LogicalOp::Or { a, b, dst } => {
+                row_wise(|a, b, dst| RowOp::Or { a, b, dst }, &a, Some(&b), &dst)?
+            }
+            LogicalOp::Xor { a, b, dst } => {
+                row_wise(|a, b, dst| RowOp::Xor { a, b, dst }, &a, Some(&b), &dst)?
+            }
+            LogicalOp::Nand { a, b, dst } => {
+                row_wise(|a, b, dst| RowOp::Nand { a, b, dst }, &a, Some(&b), &dst)?
+            }
+            LogicalOp::Nor { a, b, dst } => {
+                row_wise(|a, b, dst| RowOp::Nor { a, b, dst }, &a, Some(&b), &dst)?
+            }
+            LogicalOp::Xnor { a, b, dst } => {
+                row_wise(|a, b, dst| RowOp::Xnor { a, b, dst }, &a, Some(&b), &dst)?
+            }
+            LogicalOp::Write { dst, words } => {
+                if words.is_empty() {
+                    return Err(ServeError::EmptyPattern);
+                }
+                let (dst, rows) = first(&dst)?;
+                (rows, AdmittedOp::Write { dst, words })
+            }
+            LogicalOp::Read { src } => {
+                let (src, rows) = first(&src)?;
+                (rows, AdmittedOp::Read { src })
+            }
+            LogicalOp::Kernel { program, bindings } => {
+                // Kernels parse and plan at admission, before any queue
+                // state changes: a malformed program is rejected
+                // atomically, and the compiled plan rides with the
+                // request so dispatch just stamps it out per shard.
+                // Compilation is deterministic, so a plan keyed on the
+                // exact (program, bindings) is reusable verbatim —
+                // repeated submissions of the same kernel skip the
+                // compiler.
+                let cached = match self.plan_cache.entry((program, bindings)) {
+                    Entry::Occupied(hit) => {
+                        self.stats.plan_cache_hits += 1;
+                        telemetry::counter("serve.kernel.plan_cache_hits").inc();
+                        hit
+                    }
+                    Entry::Vacant(miss) => {
+                        let (program, bindings) = miss.key();
+                        let parsed =
+                            Program::parse(program).map_err(|e| ServeError::KernelParse {
+                                position: e.position,
+                                message: e.message,
+                            })?;
+                        let plan = KernelPlan::compile(&parsed, bindings).map_err(|e| {
+                            ServeError::KernelPlan {
+                                message: e.to_string(),
+                            }
+                        })?;
+                        miss.insert_entry(Arc::new(plan))
+                    }
+                };
+                let ((_, bindings), plan) = (cached.key(), cached.get());
+                // Every binding is validated, also one the program
+                // never reads. A plan writes at least one bound name,
+                // so a compiled kernel has a binding.
+                let Some(((_, left), rest)) = bindings.split_first() else {
+                    return Err(ServeError::KernelPlan {
+                        message: KernelPlanError::NoOutputs.to_string(),
+                    });
+                };
+                let rows = first(left)?.1;
+                for (_, name) in rest {
+                    resolve_like(catalog, name, (left, rows))?;
+                }
+                let needed = plan.scratch_rows_needed(rows, self.config.shards);
+                if needed > self.config.kernel_scratch_rows {
+                    return Err(ServeError::ScratchExhausted {
+                        needed_rows: needed,
+                        budget_rows: self.config.kernel_scratch_rows,
                     });
                 }
-                Some(_) => {}
+                let vectors = plan
+                    .vector_names()
+                    .map(|name| catalog.resolve(name))
+                    .collect::<Result<_, _>>()?;
+                let plan = Arc::clone(plan);
+                (rows, AdmittedOp::Kernel { plan, rows, vectors })
             }
-        }
-        let rows = rows.expect("every op names at least one vector");
-        if let Some(plan) = &plan {
-            let needed = plan.scratch_rows_needed(rows, self.config.shards);
-            if needed > self.config.kernel_scratch_rows {
-                return Err(ServeError::ScratchExhausted {
-                    needed_rows: needed,
-                    budget_rows: self.config.kernel_scratch_rows,
-                });
-            }
-        }
-        let placement = self.catalog.get(names[0])?;
+        };
+        // Row `i` lives on shard `i mod S`: the first `rows` shards.
         let involved: Vec<u32> = (0..self.config.shards)
-            .filter(|&s| placement.rows_on_shard(ShardId(s), self.config.shards) > 0)
+            .filter(|&s| u64::from(s) < rows)
             .collect();
         debug_assert!(!involved.is_empty(), "{rows}-row vector spans no shard");
         if self.queued_per_tenant[tenant.0 as usize] >= self.config.quota() {
@@ -849,10 +924,6 @@ impl BulkService {
                 });
             }
         }
-        let admitted = match plan {
-            Some(plan) => AdmittedOp::Kernel { plan, rows },
-            None => AdmittedOp::Op(op),
-        };
         Ok((involved, admitted))
     }
 
@@ -877,28 +948,24 @@ impl BulkService {
         // a write earlier in the batch invalidates the digest a later
         // read would otherwise hit, and a read followed by a write in
         // the same batch must not populate the cache with the stale
-        // digest (`last_write` tracks that).
+        // digest (`cache_fill` is false then).
         if self.config.read_cache {
-            let mut last_write: HashMap<String, usize> = HashMap::new();
-            for (i, req) in batch.iter().enumerate() {
-                for v in Self::written_vectors(req) {
-                    last_write.insert(v.to_owned(), i);
-                }
-            }
-            for (i, req) in batch.iter_mut().enumerate() {
-                for v in Self::written_vectors(req) {
-                    if self.read_cache.remove(v).is_some() {
+            for i in 0..batch.len() {
+                for v in Self::written_vectors(&batch[i].op) {
+                    if self.read_cache[v.index()].take().is_some() {
                         self.stats.cache_invalidations += 1;
                         telemetry::counter("serve.cache.invalidations").inc();
                     }
                 }
-                if let AdmittedOp::Op(LogicalOp::Read { src }) = &req.op {
-                    if let Some(&entry) = self.read_cache.get(src) {
-                        req.cached_digest = Some(entry);
+                if let AdmittedOp::Read { src } = batch[i].op {
+                    if let Some(entry) = self.read_cache[src.index()] {
+                        batch[i].cached_digest = Some(entry);
                         self.stats.cache_hits += 1;
                         telemetry::counter("serve.cache.hits").inc();
                     } else {
-                        req.cache_fill = last_write.get(src).is_none_or(|&j| j < i);
+                        batch[i].cache_fill = !batch[i + 1..]
+                            .iter()
+                            .any(|later| Self::written_vectors(&later.op).any(|v| v == src));
                         self.stats.cache_misses += 1;
                         telemetry::counter("serve.cache.misses").inc();
                     }
@@ -1271,112 +1338,57 @@ impl BulkService {
         batch
     }
 
-    /// Catalog vectors `req` writes (cache-invalidation set).
-    fn written_vectors(req: &PendingRequest) -> Vec<&str> {
-        match &req.op {
-            AdmittedOp::Op(
-                LogicalOp::Not { dst, .. }
-                | LogicalOp::Copy { dst, .. }
-                | LogicalOp::And { dst, .. }
-                | LogicalOp::Or { dst, .. }
-                | LogicalOp::Xor { dst, .. }
-                | LogicalOp::Nand { dst, .. }
-                | LogicalOp::Nor { dst, .. }
-                | LogicalOp::Xnor { dst, .. }
-                | LogicalOp::Write { dst, .. },
-            ) => vec![dst.as_str()],
-            AdmittedOp::Op(LogicalOp::Read { .. } | LogicalOp::Kernel { .. }) => Vec::new(),
-            AdmittedOp::Kernel { plan, .. } => plan.output_names().collect(),
-        }
+    /// Catalog vectors `op` writes (cache-invalidation set).
+    fn written_vectors(op: &AdmittedOp) -> impl Iterator<Item = VectorId> + '_ {
+        let (dst, kernel) = match op {
+            AdmittedOp::RowWise { dst, .. } | AdmittedOp::Write { dst, .. } => (Some(*dst), None),
+            AdmittedOp::Read { .. } => (None, None),
+            AdmittedOp::Kernel { plan, vectors, .. } => {
+                (None, Some(plan.output_indices().map(|i| vectors[i])))
+            }
+        };
+        dst.into_iter().chain(kernel.into_iter().flatten())
     }
 
     /// Appends the per-shard row-ops realising `req` on shard `s`.
     fn decompose_for_shard(&self, req: &PendingRequest, s: u32, out: &mut Vec<RowOp>) {
         let shards = self.config.shards;
-        let get = |name: &str| {
-            self.catalog
-                .get(name)
-                .expect("validated at admission")
-                .clone()
-        };
-        let op = match &req.op {
-            AdmittedOp::Kernel { plan, rows } => {
-                let bases: Vec<u64> = plan
-                    .vector_names()
-                    .map(|v| get(v).shard_base[s as usize])
-                    .collect();
-                plan.emit_for_shard(s, shards, *rows, &bases, self.scratch_base, out);
-                return;
-            }
-            AdmittedOp::Op(op) => op,
-        };
-        match op {
-            LogicalOp::Not { src, dst } | LogicalOp::Copy { src, dst } => {
-                let (ps, pd) = (get(src), get(dst));
-                let n = ps.rows_on_shard(ShardId(s), shards);
-                for k in 0..n {
-                    let a = RowId(ps.shard_base[s as usize] + k);
-                    let d = RowId(pd.shard_base[s as usize] + k);
-                    out.push(if matches!(op, LogicalOp::Not { .. }) {
-                        RowOp::Not { src: a, dst: d }
-                    } else {
-                        RowOp::Copy { src: a, dst: d }
-                    });
+        let placement = |v: VectorId| self.catalog.placement(v);
+        let base = |v: VectorId| placement(v).shard_base[s as usize];
+        match &req.op {
+            &AdmittedOp::RowWise { row_op, a, b, dst } => {
+                let (ra, rb, rd) = (base(a), base(b), base(dst));
+                for k in 0..placement(a).rows_on_shard(ShardId(s), shards) {
+                    out.push(row_op(RowId(ra + k), RowId(rb + k), RowId(rd + k)));
                 }
             }
-            LogicalOp::And { a, b, dst }
-            | LogicalOp::Or { a, b, dst }
-            | LogicalOp::Xor { a, b, dst }
-            | LogicalOp::Nand { a, b, dst }
-            | LogicalOp::Nor { a, b, dst }
-            | LogicalOp::Xnor { a, b, dst } => {
-                let (pa, pb, pd) = (get(a), get(b), get(dst));
-                let n = pa.rows_on_shard(ShardId(s), shards);
-                for k in 0..n {
-                    let ra = RowId(pa.shard_base[s as usize] + k);
-                    let rb = RowId(pb.shard_base[s as usize] + k);
-                    let rd = RowId(pd.shard_base[s as usize] + k);
-                    out.push(match op {
-                        LogicalOp::And { .. } => RowOp::And { a: ra, b: rb, dst: rd },
-                        LogicalOp::Or { .. } => RowOp::Or { a: ra, b: rb, dst: rd },
-                        LogicalOp::Xor { .. } => RowOp::Xor { a: ra, b: rb, dst: rd },
-                        LogicalOp::Nand { .. } => RowOp::Nand { a: ra, b: rb, dst: rd },
-                        LogicalOp::Nor { .. } => RowOp::Nor { a: ra, b: rb, dst: rd },
-                        _ => RowOp::Xnor { a: ra, b: rb, dst: rd },
-                    });
-                }
-            }
-            LogicalOp::Write { dst, words } => {
-                let pd = get(dst);
-                let n = pd.rows_on_shard(ShardId(s), shards);
+            AdmittedOp::Write { dst, words } => {
+                let rd = base(*dst);
                 let words_per_row = self.config.shard_geometry.row_words();
-                for k in 0..n {
-                    let vector_row = u64::from(s) + k * u64::from(shards);
-                    let data: Vec<u64> = (0..words_per_row)
-                        .map(|j| words[(j as u64 + vector_row) as usize % words.len()])
-                        .collect();
+                for k in 0..placement(*dst).rows_on_shard(ShardId(s), shards) {
+                    // Vector row `r` is the pattern rotated left by `r`.
+                    let r = u64::from(s) + k * u64::from(shards);
+                    let start = (r % words.len() as u64) as usize;
+                    let data = words.iter().cycle().skip(start).take(words_per_row);
                     out.push(RowOp::Write {
-                        row: RowId(pd.shard_base[s as usize] + k),
-                        data,
+                        row: RowId(rd + k),
+                        data: data.copied().collect(),
                     });
                 }
             }
-            LogicalOp::Read { src } => {
-                // A cache-hit read dispatches zero row-ops: the digest
-                // is served straight from the cache at settlement.
-                if req.cached_digest.is_some() {
-                    return;
-                }
-                let ps = get(src);
-                let n = ps.rows_on_shard(ShardId(s), shards);
-                for k in 0..n {
-                    out.push(RowOp::Read {
-                        row: RowId(ps.shard_base[s as usize] + k),
-                    });
+            // A cache-hit read dispatches zero row-ops: the digest is
+            // served straight from the cache at settlement.
+            AdmittedOp::Read { .. } if req.cached_digest.is_some() => {}
+            AdmittedOp::Read { src } => {
+                let rs = base(*src);
+                for k in 0..placement(*src).rows_on_shard(ShardId(s), shards) {
+                    out.push(RowOp::Read { row: RowId(rs + k) });
                 }
             }
-            // Admitted as `AdmittedOp::Kernel`, handled above.
-            LogicalOp::Kernel { .. } => {}
+            AdmittedOp::Kernel { plan, rows, vectors } => {
+                let bases: Vec<u64> = vectors.iter().map(|&v| base(v)).collect();
+                plan.emit_for_shard(s, shards, *rows, &bases, self.scratch_base, out);
+            }
         }
     }
 
@@ -1429,16 +1441,12 @@ impl BulkService {
         match first_error {
             None => {
                 let payload = match (&req.op, req.cached_digest) {
-                    (AdmittedOp::Op(LogicalOp::Read { .. }), Some((rows, digest))) => {
+                    (AdmittedOp::Read { .. }, Some((rows, digest))) => {
                         // Served from the digest cache: no row was read.
                         ResponsePayload::Digest { rows, digest }
                     }
-                    (AdmittedOp::Op(LogicalOp::Read { src }), None) => {
-                        let placement = self
-                            .catalog
-                            .get(src)
-                            .expect("validated at admission")
-                            .clone();
+                    (&AdmittedOp::Read { src }, None) => {
+                        let placement = self.catalog.placement(src);
                         let shards = self.config.shards;
                         let mut words = Vec::new();
                         for i in 0..placement.rows {
@@ -1452,16 +1460,13 @@ impl BulkService {
                             }
                         }
                         let digest = fnv1a_words(&words);
+                        let rows = placement.rows;
                         if self.config.read_cache && req.cache_fill {
-                            self.read_cache
-                                .insert(src.clone(), (placement.rows, digest));
+                            self.read_cache[src.index()] = Some((rows, digest));
                         }
-                        ResponsePayload::Digest {
-                            rows: placement.rows,
-                            digest,
-                        }
+                        ResponsePayload::Digest { rows, digest }
                     }
-                    (AdmittedOp::Kernel { plan, rows }, _) => {
+                    (AdmittedOp::Kernel { plan, rows, .. }, _) => {
                         let fused_ops = plan.vector_ops() * rows;
                         self.stats.kernels += 1;
                         telemetry::counter("serve.kernel.requests").inc();
@@ -1529,7 +1534,7 @@ impl BulkService {
         self.responses.push(ServeResponse {
             request: req.id,
             tenant: req.tenant,
-            op: req.op.mnemonic(),
+            op: req.mnemonic,
             outcome,
             submitted_tick: req.submitted_tick,
             completed_tick: self.now,
@@ -2073,6 +2078,170 @@ mod tests {
         .unwrap();
         svc.drain();
         assert_eq!(svc.stats().plan_cache_hits, 2);
+        // A different program text against the same bindings is a
+        // different plan: it compiles, misses, and runs its own program.
+        svc.submit(
+            t,
+            LogicalOp::Kernel {
+                program: "d = a | b".into(),
+                bindings: vec![
+                    ("a".into(), "a".into()),
+                    ("b".into(), "b".into()),
+                    ("d".into(), "d".into()),
+                ],
+            },
+            None,
+        )
+        .unwrap();
+        svc.drain();
+        assert_eq!(svc.stats().plan_cache_hits, 2);
+        let rows = svc.read_vector("d").unwrap();
+        assert!(rows.iter().all(|r| r.iter().all(|&w| w == 0b1100 | 0b1010)));
+    }
+
+    #[test]
+    fn decomposition_matches_a_row_by_row_oracle() {
+        // 7-row vectors on 3 shards stripe unevenly (3/2/2 rows), and the
+        // three operands sit at different bases on every shard, so a
+        // misrouted operand or a miscounted stripe shows.
+        let shards = 3u32;
+        let mut cfg = ServiceConfig::small(shards);
+        cfg.tenant_quota = Some(32);
+        let mut svc = BulkService::new(cfg).unwrap();
+        for name in ["a", "b", "d"] {
+            svc.create_vector(name, 7).unwrap();
+        }
+        let words_per_row = svc.config.shard_geometry.row_words();
+        let pattern = [0x11u64, 0x22, 0x33];
+        let decomposed = |svc: &mut BulkService, op: LogicalOp| -> Vec<Vec<RowOp>> {
+            svc.submit(TenantId(0), op, None).unwrap();
+            let batch = svc.collect_batch();
+            assert_eq!(batch.len(), 1);
+            (0..shards)
+                .map(|s| {
+                    let mut out = Vec::new();
+                    svc.decompose_for_shard(&batch[0], s, &mut out);
+                    out
+                })
+                .collect()
+        };
+        // Row `i`'s op from the rows `locate` gives each named vector.
+        let oracle =
+            |svc: &BulkService, names: &[&str], row_op: &dyn Fn(u64, &[RowId]) -> RowOp| {
+                let mut lists = vec![Vec::new(); shards as usize];
+                for i in 0..7 {
+                    let located: Vec<(ShardId, RowId)> = names
+                        .iter()
+                        .map(|n| svc.catalog.get(n).unwrap().locate(i, shards))
+                        .collect();
+                    let shard = located[0].0;
+                    assert!(located.iter().all(|&(s, _)| s == shard));
+                    let rows: Vec<RowId> = located.iter().map(|&(_, r)| r).collect();
+                    lists[shard.0 as usize].push(row_op(i, &rows));
+                }
+                lists
+            };
+        type Unary = fn(String, String) -> LogicalOp;
+        type UnaryRow = fn(RowId, RowId) -> RowOp;
+        let unary: [(Unary, UnaryRow); 2] = [
+            (|src, dst| LogicalOp::Not { src, dst }, |src, dst| RowOp::Not { src, dst }),
+            (|src, dst| LogicalOp::Copy { src, dst }, |src, dst| RowOp::Copy { src, dst }),
+        ];
+        for (op, row_op) in unary {
+            let want = oracle(&svc, &["b", "d"], &|_, r| row_op(r[0], r[1]));
+            assert_eq!(decomposed(&mut svc, op("b".into(), "d".into())), want);
+        }
+        type Binary = fn(String, String, String) -> LogicalOp;
+        type BinaryRow = fn(RowId, RowId, RowId) -> RowOp;
+        let binary: [(Binary, BinaryRow); 6] = [
+            (
+                |a, b, dst| LogicalOp::And { a, b, dst },
+                |a, b, dst| RowOp::And { a, b, dst },
+            ),
+            (
+                |a, b, dst| LogicalOp::Or { a, b, dst },
+                |a, b, dst| RowOp::Or { a, b, dst },
+            ),
+            (
+                |a, b, dst| LogicalOp::Xor { a, b, dst },
+                |a, b, dst| RowOp::Xor { a, b, dst },
+            ),
+            (
+                |a, b, dst| LogicalOp::Nand { a, b, dst },
+                |a, b, dst| RowOp::Nand { a, b, dst },
+            ),
+            (
+                |a, b, dst| LogicalOp::Nor { a, b, dst },
+                |a, b, dst| RowOp::Nor { a, b, dst },
+            ),
+            (
+                |a, b, dst| LogicalOp::Xnor { a, b, dst },
+                |a, b, dst| RowOp::Xnor { a, b, dst },
+            ),
+        ];
+        for (op, row_op) in binary {
+            let want = oracle(&svc, &["d", "a", "b"], &|_, r| row_op(r[0], r[1], r[2]));
+            let got = decomposed(&mut svc, op("d".into(), "a".into(), "b".into()));
+            assert_eq!(got, want);
+        }
+        let want = oracle(&svc, &["a"], &|i, r| RowOp::Write {
+            row: r[0],
+            data: (0..words_per_row)
+                .map(|j| pattern[(j + i as usize) % pattern.len()])
+                .collect(),
+        });
+        let write = LogicalOp::Write {
+            dst: "a".into(),
+            words: pattern.to_vec(),
+        };
+        assert_eq!(decomposed(&mut svc, write), want);
+        let want = oracle(&svc, &["b"], &|_, r| RowOp::Read { row: r[0] });
+        assert_eq!(
+            decomposed(&mut svc, LogicalOp::Read { src: "b".into() }),
+            want
+        );
+
+        let program = "t = a ^ b\nd = ~(t & a) | b";
+        let bindings: Vec<(String, String)> = [("a", "b"), ("b", "d"), ("d", "a")]
+            .iter()
+            .map(|&(dsl, v)| (dsl.to_owned(), v.to_owned()))
+            .collect();
+        let plan = KernelPlan::compile(&Program::parse(program).unwrap(), &bindings).unwrap();
+        let want: Vec<Vec<RowOp>> = (0..shards)
+            .map(|s| {
+                let bases: Vec<u64> = plan
+                    .vector_names()
+                    .map(|v| svc.catalog.get(v).unwrap().shard_base[s as usize])
+                    .collect();
+                let mut out = Vec::new();
+                plan.emit_for_shard(s, shards, 7, &bases, svc.scratch_base, &mut out);
+                out
+            })
+            .collect();
+        let kernel = LogicalOp::Kernel {
+            program: program.into(),
+            bindings,
+        };
+        assert_eq!(decomposed(&mut svc, kernel), want);
+    }
+
+    #[test]
+    fn write_rotates_a_multi_word_pattern_per_row() {
+        // Row `r` holds `words[(j + r) % len]` at word `j`; 7 rows on 3
+        // shards stripe unevenly.
+        let mut svc = BulkService::new(ServiceConfig::small(3)).unwrap();
+        svc.create_vector("v", 7).unwrap();
+        let words = vec![0x11, 0x22, 0x33];
+        write(&mut svc, TenantId(0), "v", words.clone());
+        svc.drain();
+        let rows = svc.read_vector("v").unwrap();
+        assert_eq!(rows.len(), 7);
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), svc.config.shard_geometry.row_words());
+            for (j, &w) in row.iter().enumerate() {
+                assert_eq!(w, words[(j + r) % words.len()], "row {r}, word {j}");
+            }
+        }
     }
 
     #[test]
