@@ -41,7 +41,15 @@ pub fn fnv1a_str(s: &str) -> u64 {
 /// exposes in `Read` responses).
 #[must_use]
 pub fn fnv1a_words(words: &[u64]) -> u64 {
-    let mut hash = FNV1A_OFFSET;
+    fnv1a_fold_words(FNV1A_OFFSET, words)
+}
+
+/// Continues an FNV-1a 64-bit digest `hash` over `words`, each word's
+/// little-endian bytes in order. Folding consecutive pieces of a word
+/// sequence from [`FNV1A_OFFSET`] gives [`fnv1a_words`] of the whole
+/// sequence, so a digest spread over many buffers needs no copy.
+#[must_use]
+pub fn fnv1a_fold_words(mut hash: u64, words: &[u64]) -> u64 {
     for w in words {
         for byte in w.to_le_bytes() {
             hash ^= u64::from(byte);
@@ -78,5 +86,23 @@ mod tests {
         assert_ne!(a, fnv1a_words(&[2, 1, 3]));
         // Empty input is the offset basis.
         assert_eq!(fnv1a_words(&[]), FNV1A_OFFSET);
+    }
+
+    #[test]
+    fn folding_any_split_equals_the_whole_digest() {
+        let words: Vec<u64> = (0..257).map(|i| crate::derive_seed(0xF01D, i)).collect();
+        let want = fnv1a_words(&words);
+        for trial in 0..200 {
+            // Cut the words into pieces of seeded lengths 0..=7, empty
+            // pieces included.
+            let (mut hash, mut at, mut cut) = (FNV1A_OFFSET, 0, 0);
+            while at < words.len() {
+                let len = (crate::derive_seed(trial, cut) % 8) as usize;
+                let end = (at + len).min(words.len());
+                hash = fnv1a_fold_words(hash, &words[at..end]);
+                (at, cut) = (end, cut + 1);
+            }
+            assert_eq!(hash, want, "trial {trial}");
+        }
     }
 }

@@ -19,7 +19,11 @@
 //!   its pool as `Mutex<Box<dyn PoolMember>>` members and never asks
 //!   which kind a member is, so it settles responses identically
 //!   whether a shard is in-process, across a socket, or a mix (pinned
-//!   by `tests/remote.rs`).
+//!   by `tests/remote.rs`). A batch runs in two phases, `start` and
+//!   `finish`: the service starts every member's batch before it
+//!   finishes any, so a remote member's round trip overlaps the local
+//!   members' work, and a reply is checked against its batch before
+//!   it settles anything.
 //! * [`ShardHost`] + [`run_session_mux`] — the daemon side: accept a
 //!   connection, look up or build the [`Shard`] at the slot the Hello
 //!   names (in a [`SlotRegistry`] shared by every session), and answer
@@ -36,7 +40,7 @@
 use crate::shard::{snapshot_len_bound, Shard, ShardBatchOutcome, Technology};
 use crate::wire::{self, Frame, TransportErrorKind, WireError, WIRE_VERSION};
 use crate::ServeError;
-use felim_arch::batch::RowOp;
+use felim_arch::batch::{RowOp, RowOpOutput};
 use felim_arch::drift::DriftSpec;
 use felim_arch::geometry::MemoryGeometry;
 use felim_arch::ControllerHealth;
@@ -381,18 +385,45 @@ impl RemoteShard {
         }
     }
 
-    /// Depth-1 convenience: send one batch and wait for its outcome —
-    /// the call shape [`PoolMember::execute`] dispatches through.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Transport`] as for
-    /// [`send_batch`](Self::send_batch)/[`recv_batch`](Self::recv_batch).
-    pub fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError> {
-        let seq = self.send_batch(ops, tick_s)?;
-        let (got, outcome) = self.recv_batch()?;
-        debug_assert_eq!(got, seq, "depth-1 pipelines settle their own batch");
-        Ok(outcome)
+    /// Checks a batch reply against the `ops` it answers: one output per
+    /// op, row data for exactly the reads, and each row this session's
+    /// `row_words` wide. A reply that does not fit is a peer fault: it
+    /// poisons the session with `Protocol`, so settlement never indexes
+    /// past a short reply or meets the wrong output kind.
+    fn check_reply(
+        &mut self,
+        ops: &[RowOp],
+        outcome: &ShardBatchOutcome,
+    ) -> Result<(), ServeError> {
+        let row_words = self.params.geometry.row_words();
+        let misfit = if outcome.outputs.len() == ops.len() {
+            ops.iter()
+                .zip(&outcome.outputs)
+                .position(|(op, output)| {
+                    let read = matches!(op, RowOp::Read { .. });
+                    match output {
+                        Err(_) => false,
+                        Ok(RowOpOutput::Done) => read,
+                        Ok(RowOpOutput::Data(row)) => !read || row.len() != row_words,
+                    }
+                })
+                .map(|i| {
+                    format!(
+                        "reply output {i} does not answer its {} op",
+                        ops[i].mnemonic()
+                    )
+                })
+        } else {
+            Some(format!(
+                "reply carries {} outputs for {} ops",
+                outcome.outputs.len(),
+                ops.len()
+            ))
+        };
+        match misfit {
+            None => Ok(()),
+            Some(detail) => Err(self.poison(WireError::new(TransportErrorKind::Protocol, detail))),
+        }
     }
 
     /// Maintenance read of one shard-local row across the link.
@@ -628,13 +659,38 @@ pub trait PoolMember: Send {
     /// rows at the handshake.
     fn data_rows(&self) -> Result<u64, ServeError>;
 
-    /// Executes one coalesced batch. Per-op faults ride inside the
-    /// outcome.
+    /// Starts one coalesced batch without waiting for its outcome: a
+    /// remote member writes the batch to its link, an in-process member
+    /// does nothing yet. The caller must [`finish`](Self::finish) the
+    /// batch, with the same `ops` and `tick_s`, before any other call on
+    /// this member — one batch in flight, never one left between ticks.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Transport`] when a remote member's link failed.
-    fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError>;
+    /// [`ServeError::Transport`] when a remote member's link failed or
+    /// was already poisoned; nothing is then in flight.
+    fn start(&mut self, ops: &[RowOp], tick_s: f64) -> Result<(), ServeError>;
+
+    /// Finishes the batch [`start`](Self::start) began and returns its
+    /// outcome: an in-process member executes it now, a remote member
+    /// reads its reply. Per-op faults ride inside the outcome.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Transport`] when a remote member's link failed or
+    /// its reply does not answer `ops`.
+    fn finish(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError>;
+
+    /// Executes one coalesced batch: [`start`](Self::start), then
+    /// [`finish`](Self::finish).
+    ///
+    /// # Errors
+    ///
+    /// As for [`start`](Self::start) and [`finish`](Self::finish).
+    fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError> {
+        self.start(ops, tick_s)?;
+        self.finish(ops, tick_s)
+    }
 
     /// Maintenance read of one shard-local `row`.
     ///
@@ -685,7 +741,11 @@ impl PoolMember for Shard {
         Ok(Shard::data_rows(self))
     }
 
-    fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError> {
+    fn start(&mut self, _ops: &[RowOp], _tick_s: f64) -> Result<(), ServeError> {
+        Ok(())
+    }
+
+    fn finish(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError> {
         Ok(Shard::execute(self, ops, tick_s))
     }
 
@@ -711,8 +771,14 @@ impl PoolMember for RemoteShard {
         Ok(RemoteShard::data_rows(self))
     }
 
-    fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError> {
-        RemoteShard::execute(self, ops, tick_s)
+    fn start(&mut self, ops: &[RowOp], tick_s: f64) -> Result<(), ServeError> {
+        self.send_batch(ops, tick_s).map(drop)
+    }
+
+    fn finish(&mut self, ops: &[RowOp], _tick_s: f64) -> Result<ShardBatchOutcome, ServeError> {
+        let (_, outcome) = self.recv_batch()?;
+        self.check_reply(ops, &outcome)?;
+        Ok(outcome)
     }
 
     fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ServeError> {
@@ -1085,7 +1151,6 @@ impl Drop for ShardHostChild {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use felim_arch::batch::RowOpOutput;
     use felim_arch::geometry::RowId;
     use felim_arch::ArchError;
 

@@ -40,9 +40,7 @@ use crate::dsl::Program;
 use crate::plan::{KernelPlan, KernelPlanError};
 use crate::remote::{lock, ConnectRetry, PoolMember, RemoteShard};
 use crate::replica::{ReplicaManager, ReplicaStats, ReplicationConfig};
-use crate::request::{
-    fnv1a_words, LogicalOp, RequestId, ResponsePayload, ServeResponse, TenantId,
-};
+use crate::request::{LogicalOp, RequestId, ResponsePayload, ServeResponse, TenantId};
 use crate::shard::{Shard, ShardBatchOutcome, Technology};
 use crate::ServeError;
 use felim_arch::batch::{RowOp, RowOpOutput};
@@ -51,6 +49,7 @@ use felim_arch::energy::LatencyModel;
 use felim_arch::geometry::{MemoryGeometry, RowId};
 use felim_arch::shard::{ShardId, ShardMap};
 use felim_arch::ArchError;
+use felim_exec::hash::{fnv1a_fold_words, FNV1A_OFFSET};
 use felim_exec::{derive_seed, ExecPool};
 use felim_telemetry as telemetry;
 use serde::Serialize;
@@ -988,11 +987,11 @@ impl BulkService {
         }
 
         // Dispatch every replica of every stripe (empty batches still
-        // tick the reliability clock) concurrently, all replicas of a
-        // stripe sharing one copy of its ops; reduce in stripe order. A
-        // remote member's dispatch can fail at the transport — the
-        // per-member `Result` carries that without disturbing the other
-        // outcomes. A plain pool dispatches one work item per stripe.
+        // tick the reliability clock), all replicas of a stripe sharing
+        // one copy of its ops; reduce in stripe order. A remote member's
+        // dispatch can fail at the transport — the per-member `Result`
+        // carries that without disturbing the other outcomes. A plain
+        // pool dispatches one work item per stripe.
         let shard_ops: Vec<Arc<[RowOp]>> = shard_ops.into_iter().map(Arc::from).collect();
         for (s, ops) in shard_ops.iter().enumerate() {
             // A mid-rebuild member misses this batch; it replays from
@@ -1012,13 +1011,24 @@ impl BulkService {
                 })
                 .collect(),
         );
+        // Split phase: every member's batch starts here, in work order
+        // — a remote member writes it to its link and returns — so the
+        // remote round trips run while the pool map below does the
+        // local work, then finishes each item (reading a remote reply).
+        // Every started batch finishes this tick; one whose start failed
+        // yields that error instead.
         let shards = Arc::clone(&self.shards);
         let tick_s = self.config.tick_s;
         let stripes = shard_count;
+        let started: Vec<Result<(), ServeError>> = work
+            .iter()
+            .map(|(s, r, ops)| lock(&shards[r * stripes + s]).start(ops, tick_s))
+            .collect();
         let raw: Vec<Result<ShardBatchOutcome, ServeError>> = self.pool.map(
             &work,
-            Arc::new(move |_i: usize, (s, r, ops): &WorkItem| {
-                lock(&shards[r * stripes + s]).execute(ops, tick_s)
+            Arc::new(move |i: usize, (s, r, ops): &WorkItem| match &started[i] {
+                Ok(()) => lock(&shards[r * stripes + s]).finish(ops, tick_s),
+                Err(e) => Err(e.clone()),
             }),
         );
         let outcomes = self.reduce_outcomes(&work, raw);
@@ -1448,18 +1458,21 @@ impl BulkService {
                     (&AdmittedOp::Read { src }, None) => {
                         let placement = self.catalog.placement(src);
                         let shards = self.config.shards;
-                        let mut words = Vec::new();
+                        // The digest folds each row in vector order
+                        // straight from its outcome. Every read output
+                        // is `Ok(Data)` here: a local shard answers a
+                        // read with its row, and `RemoteShard::finish`
+                        // refuses a reply that does not.
+                        let mut digest = FNV1A_OFFSET;
                         for i in 0..placement.rows {
                             let (shard, _) = placement.locate(i, shards);
                             let s = shard.0 as usize;
                             let k = (i / u64::from(shards)) as usize;
                             let (start, _) = spans[s];
-                            match &outcome_at(s).outputs[start + k] {
-                                Ok(RowOpOutput::Data(row)) => words.extend_from_slice(row),
-                                other => unreachable!("read op yielded {other:?}"),
+                            if let Ok(RowOpOutput::Data(row)) = &outcome_at(s).outputs[start + k] {
+                                digest = fnv1a_fold_words(digest, row);
                             }
                         }
-                        let digest = fnv1a_words(&words);
                         let rows = placement.rows;
                         if self.config.read_cache && req.cache_fill {
                             self.read_cache[src.index()] = Some((rows, digest));
@@ -1547,6 +1560,7 @@ impl BulkService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::fnv1a_words;
 
     fn setup(shards: u32) -> BulkService {
         let mut svc = BulkService::new(ServiceConfig::small(shards)).unwrap();

@@ -15,8 +15,9 @@
 use felim_arch::drift::DriftSpec;
 use felim_arch::geometry::MemoryGeometry;
 use felim_serve::{
-    generate_trace, BulkService, ChaosProxy, ChaosSpec, ConnectRetry, RemoteShard,
-    ReplicationConfig, ServiceConfig, ServiceTier, ShardHostChild, Technology, TraceSpec,
+    generate_trace, BulkService, ChaosProxy, ChaosSpec, ConnectRetry, PoolMember, RemoteShard,
+    ReplicationConfig, ServeError, ServiceConfig, ServiceTier, ShardHostChild, Technology,
+    TraceEvent, TraceSpec,
 };
 
 /// Path of the `felim-shardd` binary Cargo built for this test run.
@@ -35,7 +36,20 @@ fn spawn_daemon() -> ShardHostChild {
 /// "truth" runs exercise the wire transport just like the chaos runs —
 /// the byte-identity assertions then compare remote against remote.
 fn replay(mut config: ServiceConfig, trace: &TraceSpec) -> (String, felim_serve::ServiceReport) {
-    let _daemon = if std::env::var("FELIM_REMOTE_POOL").as_deref() == Ok("1") {
+    let _daemon = route_unplaced_members(&mut config);
+    let (vectors, events) = generate_trace(trace);
+    let mut service = BulkService::new(config).expect("valid config");
+    for (name, rows) in &vectors {
+        service.create_vector(name, *rows).expect("vectors fit");
+    }
+    service.run_trace(&events);
+    settle_and_log(service)
+}
+
+/// Under `FELIM_REMOTE_POOL=1`, places every member `config` left local
+/// on a freshly spawned daemon, which the caller keeps alive.
+fn route_unplaced_members(config: &mut ServiceConfig) -> Option<ShardHostChild> {
+    if std::env::var("FELIM_REMOTE_POOL").as_deref() == Ok("1") {
         let daemon = spawn_daemon();
         let addr = daemon.addr().to_owned();
         for s in 0..config.shards {
@@ -55,13 +69,12 @@ fn replay(mut config: ServiceConfig, trace: &TraceSpec) -> (String, felim_serve:
         Some(daemon)
     } else {
         None
-    };
-    let (vectors, events) = generate_trace(trace);
-    let mut service = BulkService::new(config).expect("valid config");
-    for (name, rows) in &vectors {
-        service.create_vector(name, *rows).expect("vectors fit");
     }
-    service.run_trace(&events);
+}
+
+/// Pumps a few idle ticks so background rebuilds settle, then returns
+/// the serialised response log and the final report.
+fn settle_and_log(mut service: BulkService) -> (String, felim_serve::ServiceReport) {
     for _ in 0..32 {
         service.step();
     }
@@ -251,6 +264,98 @@ fn a_clean_connection_drop_also_fails_over_without_log_damage() {
     let replica = got_report.replica.expect("replication configured");
     assert_eq!(replica.failovers, 1);
     assert_eq!(replica.rebuilds_completed, 1);
+}
+
+/// Replays `trace` in two halves: the first half runs and drains,
+/// `between` runs, then the second half runs from the current tick.
+fn replay_in_halves(
+    mut config: ServiceConfig,
+    trace: &TraceSpec,
+    between: impl FnOnce(&mut BulkService),
+) -> (String, felim_serve::ServiceReport) {
+    let _daemon = route_unplaced_members(&mut config);
+    let (vectors, events) = generate_trace(trace);
+    let mut service = BulkService::new(config).expect("valid config");
+    for (name, rows) in &vectors {
+        service.create_vector(name, *rows).expect("vectors fit");
+    }
+    let (first, second) = events.split_at(events.len() / 2);
+    service.run_trace(first);
+    between(&mut service);
+    let shift = service.now().saturating_sub(second[0].at_tick);
+    let second: Vec<TraceEvent> = second
+        .iter()
+        .map(|e| TraceEvent { at_tick: e.at_tick + shift, ..e.clone() })
+        .collect();
+    service.run_trace(&second);
+    settle_and_log(service)
+}
+
+#[test]
+fn a_transport_error_at_start_fails_over_with_a_byte_identical_log() {
+    // Between the halves the pool idles for one replication epoch, so
+    // every active member's health probe runs with nothing in flight.
+    let idle_epoch = |service: &mut BulkService| {
+        for _ in 0..ReplicationConfig::default().epoch_ticks {
+            service.step();
+        }
+    };
+    let trace = small_trace();
+    let (want_log, want_report) =
+        replay_in_halves(base_config(ServiceTier::Baseline), &trace, idle_epoch);
+    let probe_vector = generate_trace(&trace).0[0].0.clone();
+
+    // Stripe 0's primary, then its standby, on a daemon killed between
+    // the halves. The primary's probe fails and poisons its session, so
+    // its next `start` fails and the standby takes over mid-tick. The
+    // standby fails at `finish` on its first tick after the kill and at
+    // `start` on every tick after that.
+    for (label, primary) in [("primary", true), ("standby", false)] {
+        let mut daemon = spawn_daemon();
+        let addr = daemon.addr().to_owned();
+        let mut config = base_config(ServiceTier::Baseline);
+        // A rebuild's revival dials the dead daemon once, not with backoff.
+        config.remote_connect_attempts = 1;
+        if primary {
+            config.remote_shards = vec![(0, addr)];
+        } else {
+            let replication = config.replication.as_mut().expect("replicated");
+            replication.remote_standbys = vec![(0, 1, addr)];
+        }
+        let (got_log, got_report) = replay_in_halves(config, &trace, |service| {
+            daemon.kill();
+            idle_epoch(service);
+            if primary {
+                // The health probe met the dead link and poisoned the
+                // session, so the next tick's `start` fails on it. The
+                // read fails before it reaches any shard.
+                match service.read_vector(&probe_vector) {
+                    Err(ServeError::Transport { detail, .. }) => {
+                        assert!(detail.contains("poisoned"), "{detail}");
+                    }
+                    other => panic!("expected the poisoned session, got {other:?}"),
+                }
+            }
+        });
+
+        assert_eq!(
+            got_report.stats.submitted, want_report.stats.submitted,
+            "{label}: same trace, same submissions"
+        );
+        let responses: serde_json::Value = serde_json::from_str(&got_log).expect("log parses");
+        assert_eq!(
+            responses.as_array().map_or(0, Vec::len) as u64,
+            got_report.stats.submitted,
+            "{label}: exactly one response per submission"
+        );
+        assert_eq!(got_log, want_log, "{label}: the fault must be invisible in the log");
+        let replica = got_report.replica.expect("replication configured");
+        assert_eq!(replica.failovers, u64::from(primary), "{label}");
+        assert_eq!(
+            got_report.stats.transport_errors, 0,
+            "{label}: the standby absorbed the fault before settlement"
+        );
+    }
 }
 
 #[test]

@@ -11,11 +11,16 @@
 //! along: killing the daemon mid-session yields typed
 //! [`ServeError::Transport`] responses, never panics or silent drops.
 
+use felim_arch::batch::{RowOp, RowOpOutput};
 use felim_arch::drift::DriftSpec;
+use felim_serve::shard::ShardBatchOutcome;
 use felim_serve::{
-    generate_trace, BulkService, ConnectRetry, LogicalOp, RemoteShard, ServeError,
-    ServiceConfig, ServiceTier, ShardHostChild, Technology, TenantId, TraceSpec,
+    generate_trace, BulkService, ConnectRetry, Frame, LogicalOp, PoolMember, RemoteShard,
+    ServeError, ServiceConfig, ServiceTier, ShardHostChild, Technology, TenantId, TraceSpec,
+    TransportErrorKind, WIRE_VERSION,
 };
+use std::io::{BufReader, BufWriter};
+use std::net::TcpListener;
 
 /// Path of the `felim-shardd` binary Cargo built for this test run.
 const SHARDD: &str = env!("CARGO_BIN_EXE_felim-shardd");
@@ -91,7 +96,6 @@ fn response_log_is_byte_identical_across_local_remote_and_mixed_pools() {
 
 #[test]
 fn pipelined_batches_settle_in_order_against_a_real_daemon() {
-    use felim_arch::batch::{RowOp, RowOpOutput};
     use felim_arch::geometry::{MemoryGeometry, RowId};
 
     let daemon = spawn_daemon();
@@ -136,7 +140,6 @@ fn pipelined_batches_settle_in_order_against_a_real_daemon() {
 
 #[test]
 fn every_session_gets_a_fresh_shard() {
-    use felim_arch::batch::RowOp;
     use felim_arch::geometry::{MemoryGeometry, RowId};
 
     let daemon = spawn_daemon();
@@ -228,7 +231,6 @@ fn killing_the_daemon_mid_session_yields_typed_transport_errors() {
 
 #[test]
 fn a_crafted_snapshot_push_is_refused_and_the_session_lives_on() {
-    use felim_arch::batch::RowOp;
     use felim_arch::geometry::{MemoryGeometry, RowId};
     use felim_serve::ShardHost;
 
@@ -258,4 +260,117 @@ fn a_crafted_snapshot_push_is_refused_and_the_session_lives_on() {
 
     drop(shard);
     daemon.join().expect("the daemon thread never panics").expect("accepted");
+}
+
+/// A scripted shard daemon on its own thread: it accepts one session,
+/// acks the handshake, then answers every batch with a reply for the
+/// right sequence number whose outcome is `answer(ops)`, until the
+/// client hangs up.
+fn scripted_daemon(
+    answer: fn(&[RowOp]) -> ShardBatchOutcome,
+) -> (String, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("bound").to_string();
+    let script = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("the client connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("stream clones"));
+        let mut writer = BufWriter::new(stream);
+        let Ok(Frame::Hello { geometry, .. }) = Frame::read_from(&mut reader) else {
+            panic!("the session opens with a hello");
+        };
+        let ack = Frame::HelloAck { version: WIRE_VERSION, data_rows: geometry.total_rows() / 2 };
+        ack.write_to(&mut writer).expect("ack sent");
+        while let Ok(Frame::Batch { seq, ops, .. }) = Frame::read_from(&mut reader) {
+            let outcome = answer(&ops);
+            if (Frame::BatchReply { seq, outcome }).write_to(&mut writer).is_err() {
+                break;
+            }
+        }
+    });
+    (addr, script)
+}
+
+/// An outcome carrying `outputs` and no cost.
+fn outcome(outputs: Vec<Result<RowOpOutput, felim_arch::ArchError>>) -> ShardBatchOutcome {
+    ShardBatchOutcome {
+        outputs,
+        serial_cycles: 0,
+        makespan_cycles: 0,
+        energy_nj: 0.0,
+        maintenance_error: None,
+    }
+}
+
+fn assert_protocol(result: &Result<ShardBatchOutcome, ServeError>, case: &str) {
+    assert!(
+        matches!(
+            result,
+            Err(ServeError::Transport { kind: TransportErrorKind::Protocol, .. })
+        ),
+        "{case}: expected a Protocol transport error, got {result:?}"
+    );
+}
+
+#[test]
+fn a_short_batch_reply_fails_its_requests_without_a_panic() {
+    // One output fewer than the batch has ops.
+    let (addr, script) =
+        scripted_daemon(|ops| outcome(vec![Ok(RowOpOutput::Done); ops.len().saturating_sub(1)]));
+    let mut config = ServiceConfig::small(1);
+    config.remote_shards = vec![(0, addr.clone())];
+    let mut service = BulkService::new(config).expect("the handshake succeeds");
+    service.create_vector("v", 4).expect("fits");
+    // Both writes share one batch; the second one's outputs are the
+    // ones the short reply leaves out.
+    for pattern in [7, 9] {
+        let op = LogicalOp::Write { dst: "v".into(), words: vec![pattern] };
+        service.submit(TenantId(0), op, None).expect("admitted");
+    }
+    service.drain();
+    let responses = service.take_responses();
+    assert_eq!(responses.len(), 2, "every submission gets a response");
+    for r in &responses {
+        match &r.outcome {
+            Err(ServeError::Transport { peer, kind: TransportErrorKind::Protocol, .. }) => {
+                assert_eq!(peer, &addr);
+            }
+            other => panic!("expected a Protocol transport error, got {other:?}"),
+        }
+    }
+    assert_eq!(service.stats().transport_errors, 2);
+    drop(service);
+    script.join().expect("the script never panics");
+}
+
+#[test]
+fn a_reply_that_does_not_answer_its_ops_poisons_the_session() {
+    use felim_arch::geometry::{MemoryGeometry, RowId};
+
+    type Case = (&'static str, RowOp, fn(&[RowOp]) -> ShardBatchOutcome);
+    let write = RowOp::Write { row: RowId(0), data: vec![1; MemoryGeometry::tiny().row_words()] };
+    let read = RowOp::Read { row: RowId(0) };
+    let cases: [Case; 4] = [
+        ("no outputs", read.clone(), |_| outcome(Vec::new())),
+        ("done for a read", read.clone(), |_| outcome(vec![Ok(RowOpOutput::Done)])),
+        ("data for a write", write, |_| outcome(vec![Ok(RowOpOutput::Data(vec![1]))])),
+        ("a one-word row", read, |_| outcome(vec![Ok(RowOpOutput::Data(vec![1]))])),
+    ];
+    for (case, op, answer) in cases {
+        let (addr, script) = scripted_daemon(answer);
+        let mut shard = RemoteShard::connect(
+            &addr,
+            Technology::Feram,
+            MemoryGeometry::tiny(),
+            None,
+            ConnectRetry::default(),
+        )
+        .expect("handshake succeeds");
+        let ops = [op];
+        assert_protocol(&shard.execute(&ops, 1e-3), case);
+        // The session stays poisoned with the same kind.
+        assert_protocol(&shard.execute(&ops, 1e-3), case);
+        assert_eq!(shard.inflight(), 0, "{case}: nothing is left in flight");
+        drop(shard);
+        script.join().expect("the script never panics");
+    }
 }
