@@ -34,7 +34,9 @@ pub type RowMap<K, V> = HashMap<K, V, BuildHasherDefault<RowHasher>>;
 /// [`finish`](Hasher::finish) applies MurmurHash3's `fmix64` avalanche,
 /// so strided addresses (`i * 512`, plane keys `3 * row + slot`) spread
 /// over both the low bits that pick a bucket and the top bits that the
-/// table keeps as a tag.
+/// table keeps as a tag. Both steps are bijections (`write_u64` in the
+/// state and in the word), so the serve layer's replica digest, which
+/// feeds an outcome's words through one, changes whenever a word does.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RowHasher(u64);
 

@@ -12,9 +12,21 @@
 //! deterministic (same ops, same tick clock, same derived drift seed),
 //! so replicas stay **byte-identical by construction**. That claim is
 //! verified cheaply, not assumed: each replica's batch outcomes fold
-//! into a rolling FNV-1a digest, and the digests are compared at epoch
+//! into a rolling digest, and the digests are compared at epoch
 //! boundaries — a divergent standby is retired and rebuilt rather than
 //! trusted.
+//!
+//! The digest is a [`RowHasher`] fed each outcome's fields in place,
+//! one multiply-and-mix per `u64` word, with no buffer: the output
+//! count; per output a tag, then a row's length and every word; each
+//! error's wire encoding; both cycle counts; the energy's bit pattern;
+//! and the maintenance error. The mix `(h ⋘ 5 ⊕ w) · K`, `K` odd, is a
+//! bijection in both the state and the word, and so is the avalanche
+//! `finish` applies before a compare: changing any single word changes
+//! the digest. The digest is an in-memory audit value: replicas compare
+//! digests with each other, for equality, and no response, report,
+//! snapshot or wire frame carries one, so no pinned byte depends on how
+//! it is computed.
 //!
 //! # The failover state machine
 //!
@@ -57,11 +69,11 @@
 //! [`max_uncorrectable_ticks`]: ReplicationConfig::max_uncorrectable_ticks
 
 use crate::shard::ShardBatchOutcome;
-use crate::wire;
-use felim_arch::batch::RowOp;
-use felim_arch::ControllerHealth;
-use felim_exec::fnv1a_bytes;
+use felim_arch::batch::{RowOp, RowOpOutput};
+use felim_arch::geometry::RowHasher;
+use felim_arch::{ArchError, ControllerHealth};
 use serde::Serialize;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Replication knobs, carried in
@@ -163,7 +175,7 @@ pub struct ReplicaManager {
     failed: Vec<Vec<bool>>,
     /// Per stripe, per replica: rolling outcome digest since the last
     /// epoch boundary (or rebuild completion).
-    digests: Vec<Vec<u64>>,
+    digests: Vec<Vec<RowHasher>>,
     /// Per stripe, per replica: ticks folded into the digest — only
     /// replicas with the active's tick count are comparable.
     digest_ticks: Vec<Vec<u64>>,
@@ -194,7 +206,7 @@ impl ReplicaManager {
             stats: ReplicaStats::default(),
             active: vec![0; stripes],
             failed: vec![vec![false; replicas]; stripes],
-            digests: vec![vec![0; replicas]; stripes],
+            digests: vec![vec![RowHasher::default(); replicas]; stripes],
             digest_ticks: vec![vec![0; replicas]; stripes],
             uncorrectable_streak: vec![0; stripes],
             rebuilds: (0..stripes).map(|_| None).collect(),
@@ -270,16 +282,15 @@ impl ReplicaManager {
             .collect()
     }
 
-    /// Folds one replica's batch outcome into its rolling digest (a
-    /// no-op without standbys: there is nothing to compare it with).
+    /// Folds one replica's batch outcome into its rolling digest, field
+    /// by field with no buffer (see the module docs), and counts the
+    /// tick. A no-op without standbys: there is nothing to compare it
+    /// with.
     pub fn note_outcome(&mut self, stripe: usize, replica: usize, outcome: &ShardBatchOutcome) {
         if !self.replicated() {
             return;
         }
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&self.digests[stripe][replica].to_le_bytes());
-        wire::encode_outcome(&mut buf, outcome);
-        self.digests[stripe][replica] = fnv1a_bytes(&buf);
+        fold_outcome(&mut self.digests[stripe][replica], outcome);
         self.digest_ticks[stripe][replica] += 1;
     }
 
@@ -347,21 +358,23 @@ impl ReplicaManager {
     /// retired and returned. All digests then reset for the next epoch.
     pub fn audit_epoch(&mut self, stripe: usize) -> Vec<usize> {
         let active = self.active[stripe];
-        let want = self.digests[stripe][active];
+        let want = self.digests[stripe][active].finish();
         let want_ticks = self.digest_ticks[stripe][active];
         let mut divergent = Vec::new();
         for r in 0..self.replicas() {
             if r == active || self.failed[stripe][r] {
                 continue;
             }
-            if self.digest_ticks[stripe][r] == want_ticks && self.digests[stripe][r] != want {
+            if self.digest_ticks[stripe][r] == want_ticks
+                && self.digests[stripe][r].finish() != want
+            {
                 self.failed[stripe][r] = true;
                 self.stats.divergences += 1;
                 divergent.push(r);
             }
         }
         for r in 0..self.replicas() {
-            self.digests[stripe][r] = 0;
+            self.digests[stripe][r] = RowHasher::default();
             self.digest_ticks[stripe][r] = 0;
         }
         divergent
@@ -433,11 +446,56 @@ impl ReplicaManager {
             self.stats.rebuilds_completed += 1;
             self.stats.replayed_batches += replayed;
             for r in 0..self.replicas() {
-                self.digests[stripe][r] = 0;
+                self.digests[stripe][r] = RowHasher::default();
                 self.digest_ticks[stripe][r] = 0;
             }
         }
     }
+}
+
+/// Feeds `outcome`'s fields to the digest `h`: the output count; per
+/// output a tag (0 `Done`, 1 `Data`, 2 error), then a row's length and
+/// words or an error's encoding; both cycle counts; the energy's bits;
+/// and the maintenance error behind a presence tag.
+fn fold_outcome(h: &mut RowHasher, outcome: &ShardBatchOutcome) {
+    // Errors are rare: the buffer for their encoding allocates only
+    // when one appears.
+    let mut err_buf = Vec::new();
+    h.write_u64(outcome.outputs.len() as u64);
+    for output in &outcome.outputs {
+        match output {
+            Ok(RowOpOutput::Done) => h.write_u64(0),
+            Ok(RowOpOutput::Data(row)) => {
+                h.write_u64(1);
+                h.write_u64(row.len() as u64);
+                for &w in row {
+                    h.write_u64(w);
+                }
+            }
+            Err(e) => {
+                h.write_u64(2);
+                fold_error(h, e, &mut err_buf);
+            }
+        }
+    }
+    h.write_u64(outcome.serial_cycles);
+    h.write_u64(outcome.makespan_cycles);
+    h.write_u64(outcome.energy_nj.to_bits());
+    match &outcome.maintenance_error {
+        None => h.write_u64(0),
+        Some(e) => {
+            h.write_u64(1);
+            fold_error(h, e, &mut err_buf);
+        }
+    }
+}
+
+/// Feeds `e`'s wire encoding to `h`, one mix per byte (the encoding is
+/// self-delimiting). `buf` is scratch.
+fn fold_error(h: &mut RowHasher, e: &ArchError, buf: &mut Vec<u8>) {
+    buf.clear();
+    e.encode(buf);
+    h.write(buf);
 }
 
 #[cfg(test)]
@@ -503,6 +561,262 @@ mod tests {
         // digest, but not comparable — no divergence.
         mgr.note_outcome(0, 1, &outcome(1.0));
         assert!(mgr.audit_epoch(0).is_empty());
+    }
+
+    /// A splitmix64 stream: the sweeps below are seeded, so a failure
+    /// names the seed that found it.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn row(&mut self, words: usize) -> Vec<u64> {
+            (0..words).map(|_| self.next()).collect()
+        }
+    }
+
+    /// One error of every variant, with seeded fields.
+    fn every_error(g: &mut Stream) -> Vec<ArchError> {
+        vec![
+            ArchError::RowOutOfRange {
+                row: g.next(),
+                rows: g.next(),
+            },
+            ArchError::RowSizeMismatch {
+                expected: 128,
+                got: (g.next() % 256) as usize,
+            },
+            ArchError::UncorrectableWrite {
+                row: g.next(),
+                attempts: g.next() as u32,
+            },
+            ArchError::SparesExhausted { row: g.next() },
+            ArchError::Uncorrectable {
+                row: g.next(),
+                words: vec![3, (g.next() % 128) as usize],
+            },
+        ]
+    }
+
+    /// An outcome with `Done`, a 1-word and a 128-word `Data` row and
+    /// every error variant, in a seeded rotation. The seed also picks
+    /// the energy (0.0, −0.0, a NaN payload or random bits) and whether
+    /// a maintenance error is present.
+    fn sweep_outcome(seed: u64) -> ShardBatchOutcome {
+        let mut g = Stream(seed);
+        let mut outputs = vec![
+            Ok(RowOpOutput::Done),
+            Ok(RowOpOutput::Data(g.row(1))),
+            Ok(RowOpOutput::Data(g.row(128))),
+        ];
+        outputs.extend(every_error(&mut g).into_iter().map(Err));
+        let turn = (g.next() % outputs.len() as u64) as usize;
+        outputs.rotate_left(turn);
+        let energy_nj = match seed % 4 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(0x7FF8_0000_0000_0000 | (g.next() & 0xF_FFFF)),
+            _ => f64::from_bits(g.next()),
+        };
+        let maintenance_error = (seed % 2 == 1).then(|| {
+            let i = (g.next() % 5) as usize;
+            every_error(&mut g).swap_remove(i)
+        });
+        ShardBatchOutcome {
+            outputs,
+            serial_cycles: g.next(),
+            makespan_cycles: g.next(),
+            energy_nj,
+            maintenance_error,
+        }
+    }
+
+    /// Every single-field change of `e`, the variant kept.
+    fn error_changes(e: &ArchError) -> Vec<ArchError> {
+        match e.clone() {
+            ArchError::RowOutOfRange { row, rows } => vec![
+                ArchError::RowOutOfRange { row: row ^ 1, rows },
+                ArchError::RowOutOfRange {
+                    row,
+                    rows: rows ^ 1,
+                },
+            ],
+            ArchError::RowSizeMismatch { expected, got } => vec![
+                ArchError::RowSizeMismatch {
+                    expected: expected + 1,
+                    got,
+                },
+                ArchError::RowSizeMismatch {
+                    expected,
+                    got: got + 1,
+                },
+            ],
+            ArchError::UncorrectableWrite { row, attempts } => vec![
+                ArchError::UncorrectableWrite {
+                    row: row ^ 1,
+                    attempts,
+                },
+                ArchError::UncorrectableWrite {
+                    row,
+                    attempts: attempts ^ 1,
+                },
+            ],
+            ArchError::SparesExhausted { row } => {
+                vec![ArchError::SparesExhausted { row: row ^ 1 }]
+            }
+            ArchError::Uncorrectable { row, words } => {
+                let mut longer = words.clone();
+                longer.push(0);
+                let mut shorter = words.clone();
+                shorter.pop();
+                let mut flipped = words.clone();
+                flipped[0] ^= 1;
+                vec![
+                    ArchError::Uncorrectable {
+                        row: row ^ 1,
+                        words: words.clone(),
+                    },
+                    ArchError::Uncorrectable { row, words: longer },
+                    ArchError::Uncorrectable {
+                        row,
+                        words: shorter,
+                    },
+                    ArchError::Uncorrectable {
+                        row,
+                        words: flipped,
+                    },
+                ]
+            }
+        }
+    }
+
+    /// Every single-field change of `o`: the output count, each output's
+    /// tag, each row's length and every row word, each error field, both
+    /// cycle counts, the energy bits (sign and payload), and the
+    /// maintenance error's presence and fields.
+    fn single_changes(o: &ShardBatchOutcome, g: &mut Stream) -> Vec<ShardBatchOutcome> {
+        let mut out = Vec::new();
+        let mut change = |f: &mut dyn FnMut(&mut ShardBatchOutcome)| {
+            let mut c = o.clone();
+            f(&mut c);
+            out.push(c);
+        };
+        change(&mut |c| c.outputs.push(Ok(RowOpOutput::Done)));
+        change(&mut |c| drop(c.outputs.pop()));
+        for i in 0..o.outputs.len() {
+            match &o.outputs[i] {
+                Ok(RowOpOutput::Done) => {
+                    change(&mut |c| c.outputs[i] = Ok(RowOpOutput::Data(Vec::new())));
+                    change(&mut |c| c.outputs[i] = Err(ArchError::SparesExhausted { row: 0 }));
+                }
+                Ok(RowOpOutput::Data(row)) => {
+                    change(&mut |c| c.outputs[i] = Ok(RowOpOutput::Done));
+                    for j in 0..row.len() {
+                        let bit = 1 << (g.next() % 64);
+                        change(&mut |c| {
+                            if let Ok(RowOpOutput::Data(r)) = &mut c.outputs[i] {
+                                r[j] ^= bit;
+                            }
+                        });
+                    }
+                    change(&mut |c| {
+                        if let Ok(RowOpOutput::Data(r)) = &mut c.outputs[i] {
+                            r.push(0);
+                        }
+                    });
+                    change(&mut |c| {
+                        if let Ok(RowOpOutput::Data(r)) = &mut c.outputs[i] {
+                            r.pop();
+                        }
+                    });
+                }
+                Err(e) => {
+                    change(&mut |c| c.outputs[i] = Ok(RowOpOutput::Done));
+                    for changed in error_changes(e) {
+                        change(&mut |c| c.outputs[i] = Err(changed.clone()));
+                    }
+                }
+            }
+        }
+        change(&mut |c| c.serial_cycles ^= 1);
+        change(&mut |c| c.makespan_cycles ^= 1 << 63);
+        change(&mut |c| c.energy_nj = -c.energy_nj);
+        change(&mut |c| c.energy_nj = f64::from_bits(c.energy_nj.to_bits() ^ 1));
+        match &o.maintenance_error {
+            None => {
+                change(&mut |c| c.maintenance_error = Some(ArchError::SparesExhausted { row: 0 }))
+            }
+            Some(e) => {
+                change(&mut |c| c.maintenance_error = None);
+                for changed in error_changes(e) {
+                    change(&mut |c| c.maintenance_error = Some(changed.clone()));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn any_single_field_change_changes_the_digest() {
+        for seed in 0..16 {
+            let base = sweep_outcome(seed);
+            let mut g = Stream(seed ^ 0xD1CE);
+            let mut fed = RowHasher::default();
+            fed.write_u64(g.next());
+            let changes = single_changes(&base, &mut g);
+            assert!(
+                changes.len() > 140,
+                "seed {seed}: {} changes",
+                changes.len()
+            );
+            // From a fresh digest and from one mid-epoch.
+            for prior in [RowHasher::default(), fed] {
+                let digest = |o: &ShardBatchOutcome| {
+                    let mut h = prior;
+                    fold_outcome(&mut h, o);
+                    h.finish()
+                };
+                let want = digest(&base);
+                for (n, changed) in changes.iter().enumerate() {
+                    assert_ne!(digest(changed), want, "seed {seed}, change {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_outcome_digests_alike_after_a_wire_round_trip() {
+        use crate::wire::Frame;
+        for seed in 0..16 {
+            let sent = sweep_outcome(seed);
+            let frame = Frame::BatchReply {
+                seq: seed,
+                outcome: sent.clone(),
+            };
+            let Ok(Frame::BatchReply {
+                outcome: received, ..
+            }) = Frame::decode_payload(&frame.encode_payload())
+            else {
+                panic!("seed {seed}: the batch reply does not decode");
+            };
+            // A local primary digests what it computed; a remote standby
+            // digests what the wire delivered.
+            let mut mgr = ReplicaManager::new(ReplicationConfig::default(), 1);
+            mgr.note_outcome(0, 0, &sent);
+            mgr.note_outcome(0, 1, &received);
+            assert_eq!(
+                mgr.digests[0][0].finish(),
+                mgr.digests[0][1].finish(),
+                "seed {seed}"
+            );
+            assert!(mgr.audit_epoch(0).is_empty(), "seed {seed}");
+        }
     }
 
     #[test]

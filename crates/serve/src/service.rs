@@ -1410,43 +1410,37 @@ impl BulkService {
         spans: &[(usize, usize)],
         outcomes: &[Result<ShardBatchOutcome, ServeError>],
     ) {
-        // A transport failure on any shard this request dispatched to
-        // fails it honestly: the remote shard's post-failure state is
-        // unknown, so neither success nor retry would be truthful. The
-        // first failing shard in index order decides (determinism).
-        for (s, &(_, count)) in spans.iter().enumerate() {
+        // Each shard's slice of this request's outputs: its span of a
+        // touched shard's outcome, empty for the rest. A transport
+        // failure on any touched shard fails the request honestly: the
+        // remote shard's post-failure state is unknown, so neither
+        // success nor retry would be truthful. The first failing shard
+        // in index order decides (determinism).
+        let mut slices = Vec::with_capacity(spans.len());
+        for (&(start, count), outcome) in spans.iter().zip(outcomes) {
             if count == 0 {
+                slices.push(&[][..]);
                 continue;
             }
-            if let Err(err) = &outcomes[s] {
-                self.stats.failed += 1;
-                self.stats.transport_errors += 1;
-                telemetry::counter("serve.failed").inc();
-                telemetry::counter("serve.transport_errors").inc();
-                self.respond(&req, Err(err.clone()));
-                return;
-            }
-        }
-        // From here every shard this request touched has an outcome.
-        let outcome_at = |s: usize| -> &ShardBatchOutcome {
-            outcomes[s]
-                .as_ref()
-                .expect("transport failures settled above")
-        };
-
-        // First error in shard-then-op order decides the outcome.
-        let mut first_error: Option<ArchError> = None;
-        'scan: for (s, &(start, count)) in spans.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            for r in &outcome_at(s).outputs[start..start + count] {
-                if let Err(e) = r {
-                    first_error = Some(e.clone());
-                    break 'scan;
+            match outcome {
+                Ok(o) => slices.push(&o.outputs[start..start + count]),
+                Err(err) => {
+                    self.stats.failed += 1;
+                    self.stats.transport_errors += 1;
+                    telemetry::counter("serve.failed").inc();
+                    telemetry::counter("serve.transport_errors").inc();
+                    self.respond(&req, Err(err.clone()));
+                    return;
                 }
             }
         }
+
+        // First error in shard-then-op order decides the outcome.
+        let first_error: Option<ArchError> = slices
+            .iter()
+            .flat_map(|slice| slice.iter())
+            .find_map(|r| r.as_ref().err())
+            .cloned();
 
         match first_error {
             None => {
@@ -1466,10 +1460,9 @@ impl BulkService {
                         let mut digest = FNV1A_OFFSET;
                         for i in 0..placement.rows {
                             let (shard, _) = placement.locate(i, shards);
-                            let s = shard.0 as usize;
                             let k = (i / u64::from(shards)) as usize;
-                            let (start, _) = spans[s];
-                            if let Ok(RowOpOutput::Data(row)) = &outcome_at(s).outputs[start + k] {
+                            let output = slices[shard.0 as usize].get(k);
+                            if let Some(Ok(RowOpOutput::Data(row))) = output {
                                 digest = fnv1a_fold_words(digest, row);
                             }
                         }

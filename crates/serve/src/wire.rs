@@ -511,13 +511,6 @@ const TAG_SNAPSHOT_PUSH_ACK: u8 = 11;
 const TAG_HEALTH: u8 = 12;
 const TAG_HEALTH_REPLY: u8 = 13;
 
-/// Serialises a [`ShardBatchOutcome`] into `out` with the wire codec —
-/// the canonical byte form the replica layer digests to compare a
-/// standby's outcome against its primary's.
-pub(crate) fn encode_outcome(out: &mut Vec<u8>, o: &ShardBatchOutcome) {
-    put_outcome(out, o);
-}
-
 /// A [`Frame::Batch`] payload from a borrowed schedule.
 fn put_batch(out: &mut Vec<u8>, seq: u64, tick_s: f64, ops: &[RowOp]) {
     out.push(TAG_BATCH);
