@@ -9,6 +9,14 @@
 //! Cost model (from Section VI): `AAP = ACTIVATE + ACTIVATE + PRECHARGE`,
 //! 22.6 nJ per activate, 0.32 nJ per precharge, 1 cycle per primitive,
 //! plus whole-region refresh every 64 ms.
+//!
+//! The command stream is the full Ambit sequence, but the functional
+//! model does only the data work something can observe. A MAJ computes
+//! straight from the rows its staging copies would read, and its TRA
+//! write-back into T0–T2 stays owed: the next MAJ restages all three
+//! rows anyway. Until the debt is settled, T0–T2 read, snapshot and
+//! count (for refresh) as materialised copies of the result row; it is
+//! settled only before T0–T2 or the result row change.
 
 use crate::command::Command;
 use crate::energy::{EnergyModel, LatencyModel};
@@ -35,6 +43,8 @@ pub struct DramBackend {
     /// Serial and subarray-parallel cycles since the last
     /// [`take_batch_cycles`](BulkBackend::take_batch_cycles).
     clock: MakespanClock,
+    /// The row whose copy T0–T2 still owe from the last TRA write-back.
+    owed: Option<RowId>,
 }
 
 impl DramBackend {
@@ -50,6 +60,7 @@ impl DramBackend {
             store: RowStore::new(geometry),
             command_log: None,
             clock: MakespanClock::per_subarray(&geometry),
+            owed: None,
         };
         // Control rows hold their constants from initialisation on.
         let (c0, c1) = (backend.c0(), backend.c1());
@@ -81,6 +92,7 @@ impl DramBackend {
             refreshed: take_bool(buf, pos)?,
             command_log: self.command_log.as_ref().map(|_| Vec::new()),
             clock: MakespanClock::per_subarray(&self.geometry),
+            owed: None,
         };
         (*pos == buf.len()).then_some(restored)
     }
@@ -113,6 +125,40 @@ impl DramBackend {
 
     fn dcc(&self) -> RowId {
         RowId(self.reserved_base() + 5)
+    }
+
+    fn is_compute_row(&self, row: RowId) -> bool {
+        (self.t(0).0..=self.t(2).0).contains(&row.0)
+    }
+
+    /// The row holding `row`'s words: the owed result row for T0–T2,
+    /// `row` itself otherwise.
+    fn holding(&self, row: RowId) -> RowId {
+        match self.owed {
+            Some(result) if self.is_compute_row(row) => result,
+            _ => row,
+        }
+    }
+
+    /// Makes the owed TRA write-back: copies the result row into T0–T2.
+    fn settle(&mut self) {
+        if let Some(result) = self.owed.take() {
+            for i in 0..3 {
+                let t = self.t(i);
+                self.store
+                    .copy_row(result, t)
+                    .expect("the result and compute rows lie in the array");
+            }
+        }
+    }
+
+    /// Settles the owed write-back before `row` changes: a compute row
+    /// would be overwritten by it later, the result row would take its
+    /// copies' contents with it.
+    fn before_write(&mut self, row: RowId) {
+        if self.is_compute_row(row) || self.owed == Some(row) {
+            self.settle();
+        }
     }
 
     /// First data row that user code must not exceed.
@@ -154,30 +200,62 @@ impl DramBackend {
         self.issue(Command::Activate(src));
         self.issue(Command::RowClone { dst });
         self.issue(Command::Precharge);
-        self.store.copy_row(src, dst)
+        self.before_write(dst);
+        self.store.copy_row(self.holding(src), dst)
     }
 
-    /// AAP with TRA: MAJORITY of (T0,T1,T2) cloned into `dst`; all three
-    /// compute rows are destroyed (left holding the result).
-    fn aap_tra(&mut self, dst: RowId) -> Result<(), ArchError> {
+    /// The MAJ-based two-operand op: AAPs stage `a`, `b` and the control
+    /// row into T0–T2, then an AAP with TRA writes their MAJORITY into
+    /// `dst` and back into all three compute rows — 4 AAPs total
+    /// (12 cycles, 182.1 nJ).
+    ///
+    /// The functional model computes the MAJORITY straight from the rows
+    /// the staging copies would read and leaves the write-back owed.
+    fn maj_op(&mut self, a: RowId, b: RowId, control: RowId, dst: RowId) -> Result<(), ArchError> {
+        let staged = [a, b, control];
+        for (i, src) in staged.into_iter().enumerate() {
+            self.issue(Command::Activate(src));
+            self.issue(Command::RowClone {
+                dst: self.t(i as u64),
+            });
+            self.issue(Command::Precharge);
+            if !self.geometry.contains(src) {
+                return self.abort_staging(&staged[..i], src);
+            }
+        }
         let (t0, t1, t2) = (self.t(0), self.t(1), self.t(2));
         self.issue(Command::TripleRowActivate(t0, t1, t2));
         self.issue(Command::RowClone { dst });
         self.issue(Command::Precharge);
-        self.store.combine3(t0, t1, t2, dst, majority_words)?;
-        for t in [t0, t1, t2] {
-            self.store.copy_row(dst, t)?;
+        if !self.geometry.contains(dst) {
+            return self.abort_staging(&staged, dst);
         }
+        // Stage i copies into T_i, so a later stage naming an earlier
+        // stage's compute row reads that stage's source.
+        let mut sources = staged;
+        for i in 0..3 {
+            sources[i] = match (0..i).find(|&j| staged[i] == self.t(j as u64)) {
+                Some(j) => sources[j],
+                None => self.holding(staged[i]),
+            };
+        }
+        let [x, y, z] = sources;
+        self.store.combine3(x, y, z, dst, majority_words)?;
+        self.owed = Some(dst);
         Ok(())
     }
 
-    /// The MAJ-based two-operand op: stage `a`, `b` and the control row,
-    /// then TRA into `dst` — 4 AAPs total (12 cycles, 182.1 nJ).
-    fn maj_op(&mut self, a: RowId, b: RowId, control: RowId, dst: RowId) -> Result<(), ArchError> {
-        self.aap_copy(a, self.t(0))?;
-        self.aap_copy(b, self.t(1))?;
-        self.aap_copy(control, self.t(2))?;
-        self.aap_tra(dst)
+    /// The effects of a MAJ whose chain stops at out-of-range `bad`: the
+    /// staging copies of `done` landed, then the command failed.
+    fn abort_staging(&mut self, done: &[RowId], bad: RowId) -> Result<(), ArchError> {
+        self.settle();
+        for (i, &src) in done.iter().enumerate() {
+            self.store.copy_row(src, self.t(i as u64))?;
+        }
+        Err(ArchError::RowOutOfRange {
+            row: bad.0,
+            rows: self.geometry.total_rows(),
+        })
     }
 
     /// Refresh statistics for a full-scale run of `runtime_s` seconds over
@@ -211,9 +289,16 @@ impl DramBackend {
         &self.latency
     }
 
-    /// Rows materialised so far (the refresh-liable region).
+    /// Rows materialised so far (the refresh-liable region), counting
+    /// T0–T2 as materialised while they owe their write-back.
     pub fn live_rows(&self) -> u64 {
-        self.store.touched_rows()
+        let pending = match self.owed {
+            Some(_) => (0..3)
+                .filter(|&i| matches!(self.store.row(self.t(i)), Ok(None)))
+                .count(),
+            None => 0,
+        };
+        self.store.touched_rows() + pending as u64
     }
 }
 
@@ -224,16 +309,18 @@ impl BulkBackend for DramBackend {
 
     fn write_row(&mut self, row: RowId, data: &[u64]) -> Result<(), ArchError> {
         self.issue(Command::WriteRow(row));
+        self.before_write(row);
         self.store.write(row, data)
     }
 
     fn install_row(&mut self, row: RowId, data: &[u64]) -> Result<(), ArchError> {
+        self.before_write(row);
         self.store.write(row, data)
     }
 
     fn read_row(&mut self, row: RowId) -> Result<Vec<u64>, ArchError> {
         self.issue(Command::ReadRow(row));
-        self.store.read(row)
+        self.store.read(self.holding(row))
     }
 
     fn not(&mut self, src: RowId, dst: RowId) -> Result<(), ArchError> {
@@ -244,6 +331,7 @@ impl BulkBackend for DramBackend {
         self.issue(Command::Activate(dcc));
         self.issue(Command::RowClone { dst });
         self.issue(Command::Precharge);
+        self.before_write(dst);
         self.store.map(dcc, dst, |w| !w)
     }
 
@@ -298,12 +386,8 @@ impl BulkBackend for DramBackend {
     fn finish(&mut self) -> ExecStats {
         if !self.refreshed {
             let runtime = self.latency.seconds(self.stats.total_cycles());
-            let refresh = Self::refresh_stats(
-                &self.energy,
-                &self.latency,
-                runtime,
-                self.store.touched_rows(),
-            );
+            let refresh =
+                Self::refresh_stats(&self.energy, &self.latency, runtime, self.live_rows());
             self.stats.merge(&refresh);
             self.refreshed = true;
         }
@@ -315,24 +399,14 @@ impl BulkBackend for DramBackend {
     }
 
     fn stored_row(&self, row: RowId) -> Result<Option<&[u64]>, ArchError> {
-        self.store.row(row)
+        self.store.row(self.holding(row))
     }
 
     fn decay_row(&mut self, row: RowId, mask: &[u64]) -> Result<bool, ArchError> {
-        if mask.len() != self.geometry.row_words() {
-            return Err(ArchError::RowSizeMismatch {
-                expected: self.geometry.row_words(),
-                got: mask.len(),
-            });
-        }
         // Charge-leakage upset: flip the stored bits without issuing any
         // command or charging the cost model.
-        let Some(stored) = self.store.row(row)? else {
-            return Ok(false);
-        };
-        let decayed: Vec<u64> = stored.iter().zip(mask).map(|(w, m)| w ^ m).collect();
-        self.store.write(row, &decayed)?;
-        Ok(true)
+        self.before_write(row);
+        self.store.xor_row(row, mask)
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
@@ -341,7 +415,13 @@ impl BulkBackend for DramBackend {
         put_u8(&mut out, 1); // DRAM snapshot version
         put_u64(&mut out, self.geometry.total_rows());
         put_u64(&mut out, self.geometry.row_words() as u64);
-        self.store.encode_state(&mut out);
+        match self.owed {
+            Some(result) => {
+                let compute = [self.t(0), self.t(1), self.t(2)];
+                self.store.encode_state_copying(&mut out, result, &compute);
+            }
+            None => self.store.encode_state(&mut out),
+        }
         self.stats.encode_state(&mut out);
         put_bool(&mut out, self.refreshed);
         Some(out)
@@ -462,6 +542,21 @@ mod tests {
         let s1 = m.finish();
         let s2 = m.finish();
         assert_eq!(s1, s2, "finish must be idempotent");
+    }
+
+    #[test]
+    fn live_rows_count_the_owed_compute_rows() {
+        let mut m = backend();
+        m.write_row(RowId(0), &row_of(&m, 3)).unwrap();
+        m.write_row(RowId(1), &row_of(&m, 5)).unwrap();
+        assert_eq!(m.live_rows(), 4, "two data rows, C0 and C1");
+        m.and(RowId(0), RowId(1), RowId(2)).unwrap();
+        assert_eq!(m.live_rows(), 8, "and T0–T2 and the result");
+        let t1 = RowId(m.first_reserved_row().0 + 1);
+        assert_eq!(m.read_row(t1).unwrap()[0], 1, "T1 holds the result");
+        m.write_row(RowId(2), &row_of(&m, 0)).unwrap();
+        assert_eq!(m.live_rows(), 8);
+        assert_eq!(m.read_row(t1).unwrap()[0], 1, "T1 kept its copy");
     }
 
     #[test]

@@ -16,8 +16,10 @@ pub struct RowStore {
     rows: RowMap<u64, Vec<u64>>,
     /// One row of zeros, read in place of every unmaterialised row.
     zero: Vec<u64>,
-    /// Reusable row buffer for the combine/map operations, so the
-    /// per-command hot path performs no heap allocation in steady state.
+    /// Row buffer the combine/map operations compute into. The finished
+    /// row is swapped into its destination and the destination's old
+    /// buffer comes back, so the per-command hot path neither copies the
+    /// result nor allocates in steady state.
     scratch: Vec<u64>,
 }
 
@@ -71,6 +73,19 @@ impl RowStore {
         }
     }
 
+    /// Checks that `row` is in range and that `words` fill exactly one
+    /// row.
+    fn check_full_row(&self, row: RowId, words: usize) -> Result<(), ArchError> {
+        self.check_in_range(row)?;
+        if words != self.geometry.row_words() {
+            return Err(ArchError::RowSizeMismatch {
+                expected: self.geometry.row_words(),
+                got: words,
+            });
+        }
+        Ok(())
+    }
+
     /// Reads a row (zeros if never written).
     ///
     /// # Errors
@@ -113,13 +128,7 @@ impl RowStore {
     /// [`ArchError::RowOutOfRange`] for rows outside the geometry;
     /// [`ArchError::RowSizeMismatch`] unless `data` is exactly one row.
     pub fn write(&mut self, row: RowId, data: &[u64]) -> Result<(), ArchError> {
-        self.check_in_range(row)?;
-        if data.len() != self.geometry.row_words() {
-            return Err(ArchError::RowSizeMismatch {
-                expected: self.geometry.row_words(),
-                got: data.len(),
-            });
-        }
+        self.check_full_row(row, data.len())?;
         match self.rows.entry(row.0) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 e.get_mut().copy_from_slice(data);
@@ -129,6 +138,43 @@ impl RowStore {
             }
         }
         Ok(())
+    }
+
+    /// Moves a computed row into `row`'s slot without copying it. `buf`
+    /// gets back the buffer it replaces, or an empty one when `row` was
+    /// not materialised, so a caller's scratch buffer cycles through the
+    /// store instead of being copied out of.
+    ///
+    /// # Errors
+    ///
+    /// As for [`RowStore::write`]; `buf` is left as it was.
+    pub(crate) fn swap_in(&mut self, row: RowId, buf: &mut Vec<u64>) -> Result<(), ArchError> {
+        self.check_full_row(row, buf.len())?;
+        match self.rows.entry(row.0) {
+            std::collections::hash_map::Entry::Occupied(mut e) => std::mem::swap(e.get_mut(), buf),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(std::mem::take(buf));
+            }
+        }
+        Ok(())
+    }
+
+    /// XORs `mask` into a materialised row in place. `Ok(false)`, with
+    /// nothing changed, when the row was never materialised.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchError::RowOutOfRange`] for rows outside the geometry;
+    /// [`ArchError::RowSizeMismatch`] unless `mask` is exactly one row.
+    pub(crate) fn xor_row(&mut self, row: RowId, mask: &[u64]) -> Result<bool, ArchError> {
+        self.check_full_row(row, mask.len())?;
+        let Some(words) = self.rows.get_mut(&row.0) else {
+            return Ok(false);
+        };
+        for (w, m) in words.iter_mut().zip(mask) {
+            *w ^= m;
+        }
+        Ok(true)
     }
 
     /// Copies one row onto another, in place when the destination is
@@ -157,7 +203,8 @@ impl RowStore {
         Ok(())
     }
 
-    /// `dst[i] = f(src[i])` across the whole row.
+    /// `dst[i] = f(src[i])` across the whole row, computed into the
+    /// scratch buffer and moved into `dst`.
     ///
     /// # Errors
     ///
@@ -167,7 +214,7 @@ impl RowStore {
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
         out.extend(self.operand(src).iter().map(|&x| f(x)));
-        let result = self.write(dst, &out);
+        let result = self.swap_in(dst, &mut out);
         self.scratch = out;
         result
     }
@@ -217,7 +264,8 @@ impl RowStore {
         Ok(())
     }
 
-    /// `dst[i] = f(a[i], b[i], c[i])` across the whole row (TRA/TBA).
+    /// `dst[i] = f(a[i], b[i], c[i])` across the whole row (TRA/TBA),
+    /// computed into the scratch buffer and moved into `dst`.
     ///
     /// # Errors
     ///
@@ -233,7 +281,7 @@ impl RowStore {
         let mut out = std::mem::take(&mut self.scratch);
         let result = self
             .combine3_into(a, b, c, &mut out, f)
-            .and_then(|()| self.write(dst, &out));
+            .and_then(|()| self.swap_in(dst, &mut out));
         self.scratch = out;
         result
     }
@@ -256,8 +304,20 @@ impl RowStore {
     /// Appends every materialised row (sorted by address, so the
     /// encoding is deterministic) to a state snapshot.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
+        self.encode_state_copying(out, RowId(0), &[]);
+    }
+
+    /// [`RowStore::encode_state`] as if `src` had first been copied onto
+    /// each row of `dsts` with [`RowStore::copy_row`]: the bytes of a
+    /// pending copy, without making it.
+    pub(crate) fn encode_state_copying(&self, out: &mut Vec<u8>, src: RowId, dsts: &[RowId]) {
         use crate::snapshot::{put_map, put_u64, put_words};
-        put_map(out, &self.rows, |out, k, words| {
+        let mut view: RowMap<u64, &[u64]> =
+            self.rows.iter().map(|(&k, v)| (k, v.as_slice())).collect();
+        for dst in dsts {
+            view.insert(dst.0, self.operand(src));
+        }
+        put_map(out, &view, |out, k, words| {
             put_u64(out, k);
             put_words(out, words);
         });
@@ -395,6 +455,61 @@ mod tests {
             s.copy_row(RowId(0), RowId(10_000)),
             Err(ArchError::RowOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn swap_in_moves_and_hands_back_the_old_row() {
+        let mut s = store();
+        let first: Vec<u64> = (0..128).collect();
+        let mut buf = first.clone();
+        s.swap_in(RowId(4), &mut buf).unwrap();
+        assert!(buf.is_empty(), "an unmaterialised row hands back nothing");
+        assert_eq!(s.read(RowId(4)).unwrap(), first);
+        let mut buf = vec![9; 128];
+        s.swap_in(RowId(4), &mut buf).unwrap();
+        assert_eq!(buf, first, "the replaced row comes back");
+        assert_eq!(s.read(RowId(4)).unwrap(), vec![9; 128]);
+        let mut short = vec![1, 2];
+        assert!(matches!(
+            s.swap_in(RowId(4), &mut short),
+            Err(ArchError::RowSizeMismatch { got: 2, .. })
+        ));
+        assert_eq!(short, vec![1, 2]);
+        assert_eq!(s.touched_rows(), 1);
+    }
+
+    #[test]
+    fn xor_row_flips_materialised_rows_only() {
+        let mut s = store();
+        let mask: Vec<u64> = (0..128).map(|i| 1 << (i % 64)).collect();
+        assert_eq!(s.xor_row(RowId(2), &mask), Ok(false));
+        assert_eq!(s.touched_rows(), 0);
+        s.fill(RowId(2), 0xF0).unwrap();
+        assert_eq!(s.xor_row(RowId(2), &mask), Ok(true));
+        let expect: Vec<u64> = mask.iter().map(|m| 0xF0 ^ m).collect();
+        assert_eq!(s.read(RowId(2)).unwrap(), expect);
+        assert!(matches!(
+            s.xor_row(RowId(2), &mask[..3]),
+            Err(ArchError::RowSizeMismatch { .. })
+        ));
+        assert!(matches!(
+            s.xor_row(RowId(10_000), &mask),
+            Err(ArchError::RowOutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    fn copying_encoding_matches_the_copy_made() {
+        let mut s = store();
+        s.fill(RowId(1), 7).unwrap();
+        s.fill(RowId(3), 8).unwrap();
+        let mut pending = Vec::new();
+        s.encode_state_copying(&mut pending, RowId(1), &[RowId(3), RowId(9)]);
+        s.copy_row(RowId(1), RowId(3)).unwrap();
+        s.copy_row(RowId(1), RowId(9)).unwrap();
+        let mut made = Vec::new();
+        s.encode_state(&mut made);
+        assert_eq!(pending, made);
     }
 
     #[test]

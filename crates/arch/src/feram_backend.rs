@@ -88,8 +88,10 @@ pub struct FeramBackend {
     /// Serial and subarray-parallel cycles since the last
     /// [`take_batch_cycles`](BulkBackend::take_batch_cycles).
     clock: MakespanClock,
-    /// Reusable row buffer for op results, so the fault-free op path
-    /// performs no per-op heap allocation in steady state.
+    /// Row buffer op results are computed into. A fault-free commit
+    /// swaps it into the destination plane and takes the plane's old
+    /// buffer back, so that path neither copies nor allocates per op in
+    /// steady state.
     row_buf: Vec<u64>,
 }
 
@@ -457,6 +459,27 @@ impl FeramBackend {
         }
     }
 
+    /// Commits an op's result `truth` into slot 0 of `logical`. Under
+    /// faults it goes through [`Self::commit_data`] and the oracle check.
+    /// Fault-free it lands verbatim, so the buffer moves into the plane
+    /// (and `truth` gets the plane's old buffer); a verify read-back,
+    /// when the policy asks for one, is charged and always matches.
+    fn commit_op(&mut self, logical: RowId, truth: &mut Vec<u64>) -> Result<(), ArchError> {
+        if self.faults.is_some() {
+            self.commit_data(logical, truth)?;
+            return self.oracle_check(logical, truth);
+        }
+        self.check_row(logical)?;
+        self.maybe_rotate_scratch(logical);
+        let physical = self.resolve(logical);
+        self.planes.swap_in(self.plane_of(physical, 0), truth)?;
+        self.note_write(logical, physical);
+        if self.policy.verify_writes {
+            self.issue(Command::ReadRow(logical));
+        }
+        Ok(())
+    }
+
     /// Oracle check after a committed operation: if what ended up in
     /// storage differs from the ideal result and no error was raised,
     /// that is a silent corruption.
@@ -590,7 +613,7 @@ impl FeramBackend {
                 self.oracle_check(dst, &truth)
             } else {
                 // Fault-free sense is the truth itself: commit directly.
-                self.commit_data(dst, &truth)
+                self.commit_op(dst, &mut truth)
             }
         })();
         self.row_buf = truth;
@@ -674,8 +697,7 @@ impl BulkBackend for FeramBackend {
         let mut truth = std::mem::take(&mut self.row_buf);
         let result = (|| {
             self.acp_read_into(src, true, &mut truth)?;
-            self.commit_data(dst, &truth)?;
-            self.oracle_check(dst, &truth)
+            self.commit_op(dst, &mut truth)
         })();
         self.row_buf = truth;
         result
@@ -711,8 +733,7 @@ impl BulkBackend for FeramBackend {
         let mut truth = std::mem::take(&mut self.row_buf);
         let result = (|| {
             self.acp_read_into(src, false, &mut truth)?;
-            self.commit_data(dst, &truth)?;
-            self.oracle_check(dst, &truth)
+            self.commit_op(dst, &mut truth)
         })();
         self.row_buf = truth;
         result
@@ -750,22 +771,11 @@ impl BulkBackend for FeramBackend {
 
     fn decay_row(&mut self, row: RowId, mask: &[u64]) -> Result<bool, ArchError> {
         self.check_row(row)?;
-        if mask.len() != self.geometry.row_words() {
-            return Err(ArchError::RowSizeMismatch {
-                expected: self.geometry.row_words(),
-                got: mask.len(),
-            });
-        }
         let physical = self.resolve(row);
         let plane = self.plane_of(physical, 0);
         // Environmental upset: flip the stored bits directly — no
         // command, no energy, no wear, no disturb-counter reset.
-        let Some(stored) = self.planes.row(plane)? else {
-            return Ok(false);
-        };
-        let decayed: Vec<u64> = stored.iter().zip(mask).map(|(w, m)| w ^ m).collect();
-        self.planes.write(plane, &decayed)?;
-        Ok(true)
+        self.planes.xor_row(plane, mask)
     }
 
     fn wear_fraction(&self, row: RowId) -> f64 {

@@ -202,7 +202,8 @@ pub trait BulkBackend {
     fn copy(&mut self, src: RowId, dst: RowId) -> Result<(), ArchError>;
 
     /// Rows reserved for intermediate results, disjoint from data rows.
-    /// Implementations guarantee at least 8.
+    /// Implementations guarantee at least 5; a backend may panic when
+    /// asked for more than it has (the DRAM backend has exactly 5).
     fn scratch_rows(&self, count: usize) -> Vec<RowId>;
 
     /// Execution statistics so far.

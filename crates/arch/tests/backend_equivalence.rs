@@ -4,6 +4,7 @@
 
 use felim_arch::{BulkBackend, DramBackend, FeramBackend, MemoryGeometry, RowId};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// One random program step over a small row set.
 #[derive(Debug, Clone)]
@@ -132,5 +133,31 @@ proptest! {
         run_program(&mut dram, &program);
         prop_assert!(dram.stats().total_cycles() >= feram.stats().total_cycles());
         prop_assert!(dram.stats().total_energy_nj() >= feram.stats().total_energy_nj() - 1e-9);
+    }
+}
+
+/// Both backends hand out the 5 scratch rows `BulkBackend::scratch_rows`
+/// guarantees: distinct, inside the array and in the reserved region.
+#[test]
+fn both_backends_hand_out_the_guaranteed_scratch_rows() {
+    let (feram, dram) = (FeramBackend::tiny(), DramBackend::tiny());
+    for (backend, first_reserved) in [
+        (&feram as &dyn BulkBackend, feram.first_reserved_row()),
+        (&dram as &dyn BulkBackend, dram.first_reserved_row()),
+    ] {
+        let name = backend.tech_name();
+        let rows = backend.scratch_rows(5);
+        let distinct: BTreeSet<u64> = rows.iter().map(|r| r.0).collect();
+        assert_eq!((rows.len(), distinct.len()), (5, 5), "{name}: {rows:?}");
+        for row in rows {
+            assert!(
+                row.0 >= first_reserved.0,
+                "{name}: {row:?} below the reserved region"
+            );
+            assert!(
+                backend.geometry().contains(row),
+                "{name}: {row:?} outside the array"
+            );
+        }
     }
 }
