@@ -18,15 +18,17 @@
 //!
 //! The digest is a [`RowHasher`] fed each outcome's fields in place,
 //! one multiply-and-mix per `u64` word, with no buffer: the output
-//! count; per output a tag, then a row's length and every word; each
+//! count; per output a tag, then a row's length and its words; each
 //! error's wire encoding; both cycle counts; the energy's bit pattern;
-//! and the maintenance error. The mix `(h ⋘ 5 ⊕ w) · K`, `K` odd, is a
-//! bijection in both the state and the word, and so is the avalanche
-//! `finish` applies before a compare: changing any single word changes
-//! the digest. The digest is an in-memory audit value: replicas compare
-//! digests with each other, for equality, and no response, report,
-//! snapshot or wire frame carries one, so no pinned byte depends on how
-//! it is computed.
+//! and the maintenance error. A row's words run in four lanes of their
+//! own (word `i` to lane `i mod 4`, so the four multiply chains
+//! overlap), whose finished states then go to the digest. The mix
+//! `(h ⋘ 5 ⊕ w) · K`, `K` odd, is a bijection in both the state and the
+//! word, and so is the avalanche `finish` applies to a lane and before
+//! a compare: changing any single word changes the digest. The digest
+//! is an in-memory audit value: replicas compare digests with each
+//! other, for equality, and no response, report, snapshot or wire frame
+//! carries one, so no pinned byte depends on how it is computed.
 //!
 //! # The failover state machine
 //!
@@ -272,14 +274,17 @@ impl ReplicaManager {
         self.member(stripe, self.active[stripe])
     }
 
-    /// Replica indices that dispatch `stripe`'s current batch: every
-    /// live replica except one mid-rebuild (it is behind; its missed
-    /// batches land in the schedule log instead).
+    /// Replica indices that dispatch `stripe`'s current batch, the
+    /// active first and then the standbys in index order: every live
+    /// replica except one mid-rebuild (it is behind; its missed batches
+    /// land in the schedule log instead). The active is never retired
+    /// or rebuilding, so the list always starts with it.
     pub fn dispatch_replicas(&self, stripe: usize) -> Vec<usize> {
+        let active = self.active[stripe];
         let rebuilding = self.rebuilds[stripe].as_ref().map(|r| r.replica);
-        (0..self.replicas())
-            .filter(|&r| !self.failed[stripe][r] && Some(r) != rebuilding)
-            .collect()
+        let standbys = (0..self.replicas())
+            .filter(|&r| r != active && !self.failed[stripe][r] && Some(r) != rebuilding);
+        std::iter::once(active).chain(standbys).collect()
     }
 
     /// Folds one replica's batch outcome into its rolling digest, field
@@ -468,9 +473,7 @@ fn fold_outcome(h: &mut RowHasher, outcome: &ShardBatchOutcome) {
             Ok(RowOpOutput::Data(row)) => {
                 h.write_u64(1);
                 h.write_u64(row.len() as u64);
-                for &w in row {
-                    h.write_u64(w);
-                }
+                fold_row(h, row);
             }
             Err(e) => {
                 h.write_u64(2);
@@ -487,6 +490,28 @@ fn fold_outcome(h: &mut RowHasher, outcome: &ShardBatchOutcome) {
             h.write_u64(1);
             fold_error(h, e, &mut err_buf);
         }
+    }
+}
+
+/// Feeds `row`'s words to the digest `h` in four lanes: word `i` goes
+/// to lane `i mod 4`, so the four multiply chains overlap, and then
+/// each lane's `finish` goes to `h`. Every step is a bijection (in the
+/// lane and in the word, then `finish`, then `h`'s mix), so changing
+/// any one word still changes the digest; the row's length goes to `h`
+/// before this.
+fn fold_row(h: &mut RowHasher, row: &[u64]) {
+    let mut lanes = [RowHasher::default(); 4];
+    let (quads, tail) = row.as_chunks::<4>();
+    for quad in quads {
+        for (lane, &w) in lanes.iter_mut().zip(quad) {
+            lane.write_u64(w);
+        }
+    }
+    for (lane, &w) in lanes.iter_mut().zip(tail) {
+        lane.write_u64(w);
+    }
+    for lane in &lanes {
+        h.write_u64(lane.finish());
     }
 }
 
@@ -843,7 +868,8 @@ mod tests {
         assert_eq!(pending.len(), 2);
         mgr.complete_rebuild(0, replica, true, pending.len() as u64);
         assert!(mgr.needs_rebuild(0).is_none());
-        assert_eq!(mgr.dispatch_replicas(0), vec![0, 1]);
+        // The rebuilt member rejoins behind the active.
+        assert_eq!(mgr.dispatch_replicas(0), vec![1, 0]);
         assert_eq!(mgr.stats().rebuilds_completed, 1);
         assert_eq!(mgr.stats().replayed_batches, 2);
     }

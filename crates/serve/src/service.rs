@@ -1078,27 +1078,27 @@ impl BulkService {
         raw: Vec<Result<ShardBatchOutcome, ServeError>>,
     ) -> Vec<Result<ShardBatchOutcome, ServeError>> {
         let mgr = &mut self.replicas;
-        // Work items run stripe-major, so each stripe's results are one
-        // consecutive run of `raw`.
+        // Work items run stripe-major and each stripe's run starts with
+        // its active replica (`dispatch_replicas`), so a run's first
+        // item is the active and the items after it, up to the next
+        // stripe, are its standbys.
         let mut raw = work.iter().map(|&(s, r, _)| (s, r)).zip(raw).peekable();
         let mut reduced = Vec::with_capacity(self.config.shards as usize);
-        for s in 0..self.config.shards as usize {
-            let mut entries = Vec::new();
+        while let Some(((s, active), result)) = raw.next() {
+            let mut entries = vec![(active, result)];
             while let Some(((_, r), result)) = raw.next_if(|&((t, _), _)| t == s) {
-                if let Ok(o) = &result {
-                    mgr.note_outcome(s, r, o);
-                }
                 entries.push((r, result));
             }
-            let active = mgr.active_replica(s);
-            let mut chosen = entries
-                .iter()
-                .position(|&(r, _)| r == active)
-                .expect("the active replica always dispatches");
-            if entries[chosen].1.is_err() {
-                let healthy: Vec<usize> = entries
+            for (r, result) in &entries {
+                if let Ok(o) = result {
+                    mgr.note_outcome(s, *r, o);
+                }
+            }
+            let mut chosen = 0;
+            if entries[0].1.is_err() {
+                let healthy: Vec<usize> = entries[1..]
                     .iter()
-                    .filter(|(r, result)| *r != active && result.is_ok())
+                    .filter(|(_, result)| result.is_ok())
                     .map(|&(r, _)| r)
                     .collect();
                 // The first healthy standby takes over (`healthy` lists

@@ -35,8 +35,14 @@
 //! Nearly every byte on the wire is row payload, so the codec runs at
 //! memory speed and no byte of it changed to get there:
 //!
-//! * [`crc32`] is slice-by-8: eight table lookups fold eight payload
-//!   bytes per step.
+//! * [`crc32`] folds the payload in four streams: each 2 KiB round is
+//!   four 512-byte blocks whose registers step together through the
+//!   slice-by-8 step (eight table lookups per eight bytes), so their
+//!   table-load chains overlap. The CRC register is linear in its start
+//!   value, so the round combines the four exactly through "append `n`
+//!   zero bytes" shift tables built at compile time; the CRC value is
+//!   the one a bytewise loop gives. Bytes past the last whole round go
+//!   through the slice-by-8 step one register at a time.
 //! * Row words move through `felim_arch::snapshot::{put_words,
 //!   take_words}` as one reservation and one bounds-checked slice.
 //! * A session keeps one send and one receive buffer for its lifetime
@@ -122,24 +128,115 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
-/// IEEE CRC-32 of `bytes` (the zlib/ethernet polynomial), slice-by-8:
-/// eight bytes per step through `CRC_TABLES`, then the bytewise
-/// table loop over the tail.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// Bytes per stream block: [`crc32`] folds a round of four blocks in
+/// four independent streams.
+const CRC_BLOCK: usize = 512;
+
+/// Bytes per round of [`crc32`]'s four streams.
+const CRC_ROUND: usize = 4 * CRC_BLOCK;
+
+/// `CRC_SHIFTS[k]` is `Sⁿ` for `n = (k + 1)·CRC_BLOCK`, as byte-lane
+/// tables (see [`zero_shift_tables`]): what one, two or three blocks of
+/// zero bytes do to a raw register.
+const CRC_SHIFTS: [[[u32; 256]; 4]; 3] = [
+    zero_shift_tables(CRC_BLOCK),
+    zero_shift_tables(2 * CRC_BLOCK),
+    zero_shift_tables(3 * CRC_BLOCK),
+];
+
+/// The "append `n` zero bytes" operator `Sⁿ` on the raw CRC register,
+/// as four byte-lane tables: `Sⁿ(x)` is the XOR of `t[k][byte k of x]`
+/// over `k = 0..4`. A zero byte moves the register through
+/// `c ↦ CRC_TABLE[c & 0xFF] ⊕ (c >> 8)`, which is linear over GF(2)
+/// (the table is), so `Sⁿ` is fixed by its images of the 32 one-bit
+/// registers, and each table entry is the XOR of the images of its set
+/// bits.
+const fn zero_shift_tables(n: usize) -> [[u32; 256]; 4] {
+    let mut basis = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        let mut c = 1u32 << i;
+        let mut k = 0;
+        while k < n {
+            c = CRC_TABLE[(c & 0xFF) as usize] ^ (c >> 8);
+            k += 1;
+        }
+        basis[i] = c;
+        i += 1;
+    }
+    let mut t = [[0u32; 256]; 4];
+    let mut lane = 0;
+    while lane < 4 {
+        // Entry `b` is entry `b` without its lowest set bit, plus
+        // that bit's image.
+        let mut b = 1;
+        while b < 256 {
+            t[lane][b] = t[lane][b & (b - 1)] ^ basis[8 * lane + b.trailing_zeros() as usize];
+            b += 1;
+        }
+        lane += 1;
+    }
+    t
+}
+
+/// One slice-by-8 step: the register after folding eight bytes into `c`.
+#[inline(always)]
+fn crc_step8(c: u32, chunk: &[u8; 8]) -> u32 {
     let t = &CRC_TABLES;
+    let v = u64::from_le_bytes(*chunk) ^ u64::from(c);
+    let (lo, hi) = (v as u32, (v >> 32) as u32);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// `Sⁿ(c)` through one entry of [`CRC_SHIFTS`].
+#[inline(always)]
+fn crc_shift(t: &[[u32; 256]; 4], c: u32) -> u32 {
+    t[0][(c & 0xFF) as usize]
+        ^ t[1][((c >> 8) & 0xFF) as usize]
+        ^ t[2][((c >> 16) & 0xFF) as usize]
+        ^ t[3][(c >> 24) as usize]
+}
+
+/// IEEE CRC-32 of `bytes` (the zlib/ethernet polynomial), in four
+/// streams.
+///
+/// Each round of `CRC_ROUND` bytes is four blocks. Block 0 continues
+/// the running register, blocks 1–3 start from register 0, and one
+/// loop steps all four registers through the slice-by-8 step, so the
+/// four table-load chains overlap instead of waiting on each other.
+/// The raw register after a block of `B` bytes is
+/// `Sᴮ(start) ⊕ f(block)`, linear in the start register, so folding
+/// the blocks one after another would give exactly
+/// `S³ᴮ(c₀) ⊕ S²ᴮ(c₁) ⊕ Sᴮ(c₂) ⊕ c₃`, which is how the round combines
+/// them (`CRC_SHIFTS`). The bytes after the last whole round
+/// — all of a frame shorter than one — go through the slice-by-8 step
+/// one register at a time, and the last `len % 8` bytewise.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    const STEPS: usize = CRC_BLOCK / 8;
+    let [s1, s2, s3] = &CRC_SHIFTS;
     let mut c = !0u32;
-    let (chunks, tail) = bytes.as_chunks::<8>();
+    let (rounds, rest) = bytes.as_chunks::<CRC_ROUND>();
+    for round in rounds {
+        let (w, _) = round.as_chunks::<8>();
+        let (mut c0, mut c1, mut c2, mut c3) = (c, 0, 0, 0);
+        for i in 0..STEPS {
+            c0 = crc_step8(c0, &w[i]);
+            c1 = crc_step8(c1, &w[STEPS + i]);
+            c2 = crc_step8(c2, &w[2 * STEPS + i]);
+            c3 = crc_step8(c3, &w[3 * STEPS + i]);
+        }
+        c = crc_shift(s3, c0) ^ crc_shift(s2, c1) ^ crc_shift(s1, c2) ^ c3;
+    }
+    let (chunks, tail) = rest.as_chunks::<8>();
     for chunk in chunks {
-        let v = u64::from_le_bytes(*chunk) ^ u64::from(c);
-        let (lo, hi) = (v as u32, (v >> 32) as u32);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        c = crc_step8(c, chunk);
     }
     for &b in tail {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -1129,7 +1226,7 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// The bytewise table loop slice-by-8 replaced: the oracle.
+    /// The bytewise table loop: the oracle.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut c = !0u32;
         for &b in bytes {
@@ -1150,8 +1247,16 @@ mod tests {
     }
 
     #[test]
-    fn slice_by_8_crc32_matches_the_bytewise_oracle() {
-        let lengths = (0..=300).chain([511, 1024, 4095, 8192, 28_001, 65_536]);
+    fn four_stream_crc32_matches_the_bytewise_oracle() {
+        // Every short length; one below, at, one past and seven past
+        // each of the first four round boundaries; 64 KiB.
+        let boundaries = (0..=4).flat_map(|r| {
+            let at = r * CRC_ROUND;
+            [at.checked_sub(1), Some(at), Some(at + 1), Some(at + 7)]
+        });
+        let lengths = (0..=300)
+            .chain(boundaries.flatten())
+            .chain([511, 1024, 4095, 8192, 28_001, 65_536]);
         for len in lengths {
             // Eight spare bytes so every start offset 0..8 sees `len`.
             let buf = random_bytes(len as u64 ^ 0xC4C3, len + 8);
@@ -1160,6 +1265,44 @@ mod tests {
                 assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at offset {start}");
             }
         }
+        let big = random_bytes(0x4D1B, 4 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big), "4 MiB");
+    }
+
+    #[test]
+    fn a_flipped_bit_in_any_stream_or_the_tail_is_corrupt() {
+        // 40 full rows of `Write`: a payload of many whole rounds plus
+        // a tail with both slice-by-8 steps and trailing single bytes.
+        let frame = Frame::Batch {
+            seq: 9,
+            tick_s: 1e-3,
+            ops: (0..40)
+                .map(|r| RowOp::Write {
+                    row: RowId(r),
+                    data: (0..1024).map(|w| felim_exec::derive_seed(r, w)).collect(),
+                })
+                .collect(),
+        };
+        let mut bytes = Vec::new();
+        frame.write_to(&mut bytes).unwrap();
+        let len = bytes.len() - 8;
+        let rounds = len / CRC_ROUND;
+        let tail = rounds * CRC_ROUND;
+        assert!(
+            len >= 64 << 10 && len - tail > 8 && len % 8 != 0,
+            "payload {len}"
+        );
+        let mut offsets: Vec<usize> = (0..4).map(|k| k * CRC_BLOCK + 77).collect();
+        offsets.extend((0..4).map(|k| rounds / 2 * CRC_ROUND + k * CRC_BLOCK + 300));
+        offsets.extend([tail, tail + (len - tail) / 2, len - 1]);
+        for at in offsets {
+            let mut flipped = bytes.clone();
+            // The payload starts after the 4-byte length.
+            flipped[4 + at] ^= 0x04;
+            let err = Frame::read_from(&mut &flipped[..]).unwrap_err();
+            assert_eq!(err.kind, TransportErrorKind::Corrupt, "payload byte {at}");
+        }
+        assert_eq!(Frame::read_from(&mut &bytes[..]).unwrap(), frame);
     }
 
     #[test]
