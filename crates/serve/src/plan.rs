@@ -868,4 +868,176 @@ mod tests {
             }
         }
     }
+
+    /// A random program over bound `a`–`d` and temporaries `t0`, `t1`:
+    /// general assignments, in-place updates, swaps through a
+    /// temporary, `x ^ x` and `~~x`, closed by a bound target so the
+    /// plan always has an output.
+    fn random_program(seed: u64) -> String {
+        let mut state = seed;
+        let mut draw = |n: u64| {
+            state = felim_exec::derive_seed(state, 1);
+            state % n
+        };
+        fn expr(draw: &mut impl FnMut(u64) -> u64, avail: &[&str], depth: u32) -> String {
+            if depth == 0 || draw(4) == 0 {
+                return avail[draw(avail.len() as u64) as usize].to_owned();
+            }
+            let x = expr(draw, avail, depth - 1);
+            match draw(6) {
+                0 => format!("({x} & {})", expr(draw, avail, depth - 1)),
+                1 => format!("({x} | {})", expr(draw, avail, depth - 1)),
+                2 => format!("({x} ^ {})", expr(draw, avail, depth - 1)),
+                3 => format!("({x} ^ {x})"),
+                4 => format!("~~{x}"),
+                _ => format!("~{x}"),
+            }
+        }
+        const BOUND: [&str; 4] = ["a", "b", "c", "d"];
+        let mut avail: Vec<&str> = BOUND.to_vec();
+        let mut lines = Vec::new();
+        for _ in 0..2 + draw(5) {
+            match draw(4) {
+                0 => {
+                    let (x, y) = (BOUND[draw(4) as usize], BOUND[draw(4) as usize]);
+                    lines.push(format!("t0 = {x}\n{x} = {y}\n{y} = t0"));
+                    if !avail.contains(&"t0") {
+                        avail.push("t0");
+                    }
+                }
+                1 => {
+                    let x = BOUND[draw(4) as usize];
+                    lines.push(format!("{x} = {x} & {}", expr(&mut draw, &avail, 2)));
+                }
+                _ => {
+                    let target = ["a", "b", "c", "d", "t0", "t1"][draw(6) as usize];
+                    lines.push(format!("{target} = {}", expr(&mut draw, &avail, 3)));
+                    if !avail.contains(&target) {
+                        avail.push(target);
+                    }
+                }
+            }
+        }
+        let target = BOUND[draw(4) as usize];
+        lines.push(format!("{target} = {}", expr(&mut draw, &avail, 3)));
+        lines.join("\n")
+    }
+
+    /// Pins every emitted row-op stream and every plan counter over a
+    /// fixed corpus, so a rewrite of the compiler's internals is held
+    /// byte-identical to the schedules it replaces. Rows 1 and 3 on up
+    /// to four shards cover shards that own no row.
+    #[test]
+    fn emission_golden_over_the_kernel_corpus() {
+        let to_v = |names: &[&str]| -> Vec<(String, String)> {
+            names
+                .iter()
+                .map(|n| (n.to_string(), format!("v{n}")))
+                .collect()
+        };
+        let mut corpus: Vec<(String, Vec<(String, String)>)> = [
+            (
+                "d = (a & b) ^ (b & a)\ne = a & b",
+                &["a", "b", "d", "e"][..],
+            ),
+            (
+                "d = ~(a & b)\ne = ~(a ^ b)\nf = ~~a",
+                &["a", "b", "d", "e", "f"],
+            ),
+            (
+                "t1 = a ^ b\nt2 = t1 & a\nt3 = t2 | b\nt4 = t3 ^ a\nd = t4 & b",
+                &["a", "b", "d"],
+            ),
+            ("unused = a | b\nd = a & b", &["a", "b", "d"]),
+            ("s = s ^ fb", &["s", "fb"]),
+            (
+                "t = (a & b) ^ d\nd = a & b\ne = t ^ d",
+                &["a", "b", "d", "e"],
+            ),
+            ("d = a & ghost", &["a", "d"]),
+            ("t = a & a", &["a"]),
+            ("t = a\na = x\nd = t", &["a", "x", "d"]),
+            ("t = a\na = b\nb = t", &["a", "b"]),
+            ("d = a & b\ne = d\na = a | b", &["a", "b", "d", "e"]),
+            (
+                "t = a & b\nu = t ^ ~c\nd = u | (a & b)\ne = ~(u ^ c)\nc = c ^ t",
+                &["a", "b", "c", "d", "e"],
+            ),
+        ]
+        .iter()
+        .map(|&(src, names)| (src.to_owned(), to_v(names)))
+        .collect();
+        let mut crc8 = Vec::new();
+        for i in 0..8 {
+            crc8.push(format!("fb = c7 ^ m{i}"));
+            for k in (1..8).rev() {
+                if (0x07u8 >> k) & 1 == 1 {
+                    crc8.push(format!("c{k} = c{} ^ fb", k - 1));
+                } else {
+                    crc8.push(format!("c{k} = c{}", k - 1));
+                }
+            }
+            crc8.push("c0 = fb".to_string());
+        }
+        let crc8_bindings = (0..8)
+            .flat_map(|i| [format!("c{i}"), format!("m{i}")])
+            .map(|n| (n.clone(), n))
+            .collect();
+        corpus.push((crc8.join("\n"), crc8_bindings));
+        corpus.push((
+            "prev = flagged\n\
+             flagged = (price & in_stock) | (flagged & sticky)\n\
+             changed = prev ^ flagged"
+                .to_owned(),
+            ["price", "in_stock", "sticky", "flagged", "prev", "changed"]
+                .iter()
+                .map(|n| (n.to_string(), n.to_string()))
+                .collect(),
+        ));
+        for i in 0..64 {
+            let src = random_program(felim_exec::derive_seed(0x601D, i));
+            corpus.push((src, to_v(&["a", "b", "c", "d"])));
+        }
+
+        let mut digest = 0u64;
+        let mut fold = |text: String| {
+            digest = felim_exec::derive_seed(digest, felim_exec::hash::fnv1a_str(&text));
+        };
+        let mut ops = Vec::new();
+        for (src, bindings) in &corpus {
+            let plan = match KernelPlan::compile(&Program::parse(src).unwrap(), bindings) {
+                Ok(plan) => plan,
+                Err(e) => {
+                    fold(format!("{e:?}"));
+                    continue;
+                }
+            };
+            fold(format!(
+                "{:?} {:?} {} {} {}",
+                plan.vector_names().collect::<Vec<_>>(),
+                plan.output_indices().collect::<Vec<_>>(),
+                plan.cse_hits,
+                plan.scratch_slots,
+                plan.vector_ops()
+            ));
+            let bases: Vec<u64> = (0..plan.vector_names().count() as u64)
+                .map(|i| 1000 * i + 3)
+                .collect();
+            for shards in 1..=4u32 {
+                for rows in [1u64, 3, 7, 64] {
+                    for s in 0..shards {
+                        ops.clear();
+                        plan.emit_for_shard(s, shards, rows, &bases, 100_000, &mut ops);
+                        fold(format!("{ops:?}"));
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            digest,
+            0x1ad9_9e2c_1097_414f,
+            "emission digest over {} kernels",
+            corpus.len()
+        );
+    }
 }
