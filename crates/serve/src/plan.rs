@@ -1,14 +1,14 @@
 //! The kernel compiler: DSL programs → fused per-shard row-op schedules.
 //!
 //! [`KernelPlan::compile`] lowers a parsed [`Program`] into a DAG of
-//! bulk-bitwise ops and schedules it once, at admission time; dispatch
+//! native gates and schedules it once, at admission time; dispatch
 //! then merely stamps the plan out per shard with
 //! [`KernelPlan::emit_for_shard`]. The compiler performs the fusion work
 //! that makes a kernel cheaper than submitting its statements as
 //! individual [`LogicalOp`](crate::LogicalOp)s:
 //!
-//! * **Common-subexpression elimination** — nodes are hash-consed, so
-//!   `(a & b)` computed twice is one node (commutative operands are
+//! * **Common-subexpression elimination** — gates are hash-consed, so
+//!   `(a & b)` computed twice is one entry (commutative operands are
 //!   canonicalised first, so `a & b` and `b & a` unify).
 //! * **NOT fusion** — `~(a & b)` becomes one `Nand` row-op (likewise
 //!   `Nor`, and `~~x` cancels), exploiting the array's native
@@ -36,6 +36,14 @@
 //!   independent subexpressions sit adjacent in the batch and spread
 //!   across subarrays under the makespan that prices each tick.
 //!
+//! The IR admits only what the array runs. A DAG entry is an input
+//! vector or a gate: `Not(a)` or `Bin(kind, a, b)` with `kind` one of
+//! `And | Or | Nand | Nor`, whose operands are ids of earlier entries
+//! (ids are creation order, which operand canonicalisation and the
+//! `(level, id)` schedule key both compare). A scheduled step is a
+//! gate over value locations with its destination, or a copy, so
+//! emission maps every step to exactly one [`RowOp`] per row.
+//!
 //! Dead statements (temporaries never reaching a bound output) are
 //! dropped entirely. The plan is shape-agnostic: row counts bind at
 //! admission, and emission stripes scratch slots with the same
@@ -46,44 +54,65 @@ use crate::dsl::{Expr, Program};
 use felim_arch::batch::RowOp;
 use felim_arch::geometry::RowId;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-/// A binary/unary bulk-logic op kind the array executes natively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
-enum OpKind {
-    Not,
+/// A two-operand gate the array executes natively.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum BinKind {
     And,
     Or,
     Nand,
     Nor,
 }
 
-impl OpKind {
-    /// The kind computing the complement of this kind's result, if the
-    /// array has a native gate for it.
-    fn complement(self) -> Option<OpKind> {
+impl BinKind {
+    /// The native gate computing the complement of this gate's result.
+    fn complement(self) -> BinKind {
         match self {
-            OpKind::And => Some(OpKind::Nand),
-            OpKind::Nand => Some(OpKind::And),
-            OpKind::Or => Some(OpKind::Nor),
-            OpKind::Nor => Some(OpKind::Or),
-            OpKind::Not => None,
+            BinKind::And => BinKind::Nand,
+            BinKind::Nand => BinKind::And,
+            BinKind::Or => BinKind::Nor,
+            BinKind::Nor => BinKind::Or,
         }
     }
 }
 
-/// A DAG node: a bound input vector or a fused op over earlier nodes.
-#[derive(Debug, Clone, PartialEq)]
-enum Node {
+/// A native gate over operands of type `T`: entry ids in the DAG,
+/// value locations in the schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Gate<T> {
+    Not(T),
+    Bin(BinKind, T, T),
+}
+
+impl<T: Copy + PartialEq> Gate<T> {
+    /// The distinct operands. `nand(x, x)` (from the XOR network) reads
+    /// `x` once, so a dying operand's slot frees exactly once — a stale
+    /// duplicate on the free list would later clobber a live value.
+    fn args(self) -> impl Iterator<Item = T> {
+        let (a, b) = match self {
+            Gate::Not(a) => (a, None),
+            Gate::Bin(_, a, b) => (a, (b != a).then_some(b)),
+        };
+        std::iter::once(a).chain(b)
+    }
+
+    fn map<U>(self, mut f: impl FnMut(T) -> U) -> Gate<U> {
+        match self {
+            Gate::Not(a) => Gate::Not(f(a)),
+            Gate::Bin(kind, a, b) => Gate::Bin(kind, f(a), f(b)),
+        }
+    }
+}
+
+/// A DAG entry. Its id is its creation index, so every gate's operand
+/// ids are below its own.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
     /// Reads the catalog vector at this index of the plan's vector table.
     Input(usize),
-    /// An op over one or two earlier nodes.
-    Op {
-        kind: OpKind,
-        a: usize,
-        b: Option<usize>,
-    },
+    Gate(Gate<usize>),
 }
 
 /// Where a value lives during execution.
@@ -99,13 +128,30 @@ enum Loc {
 
 /// One vector-level step of the fused schedule.
 #[derive(Debug, Clone, PartialEq)]
-struct Step {
-    kind: OpKind,
-    a: Loc,
-    b: Option<Loc>,
-    dst: Loc,
-    /// End-of-kernel write-back copy (`kind` is ignored when set).
-    copy: bool,
+enum Step {
+    /// A gate over operand locations, writing `dst`.
+    Op { gate: Gate<Loc>, dst: Loc },
+    /// A staging or end-of-kernel write-back copy.
+    Copy { src: Loc, dst: Loc },
+}
+
+/// Scratch slots under linear scan: the lowest freed slot is reused
+/// before a new one opens, so allocation is deterministic and low slots
+/// stay hot.
+#[derive(Default)]
+struct Slots {
+    free: BTreeSet<u32>,
+    /// Slots opened so far: the schedule's peak liveness.
+    opened: u32,
+}
+
+impl Slots {
+    fn take(&mut self) -> u32 {
+        self.free.pop_first().unwrap_or_else(|| {
+            self.opened += 1;
+            self.opened - 1
+        })
+    }
 }
 
 /// Why a parsed program could not be planned against its bindings.
@@ -157,12 +203,10 @@ pub struct KernelPlan {
     steps: Vec<Step>,
     /// Indices into `vectors` of the vectors the kernel writes.
     output_vectors: Vec<usize>,
-    /// DAG nodes eliminated by hash-consing.
+    /// DAG entries eliminated by hash-consing.
     pub cse_hits: u64,
     /// Distinct scratch slots the schedule needs (peak liveness).
     pub scratch_slots: u32,
-    /// Depth of the scheduled DAG (independent level count).
-    pub levels: u32,
 }
 
 impl KernelPlan {
@@ -191,17 +235,8 @@ impl KernelPlan {
             seen_vectors.push(vector.as_str());
         }
 
-        let mut b = Builder {
-            nodes: Vec::new(),
-            cons: HashMap::new(),
-            input_of: HashMap::new(),
-            vectors: Vec::new(),
-            vector_idx: HashMap::new(),
-            env: HashMap::new(),
-            cse_hits: 0,
-        };
-
-        // Lower every statement; `env` tracks each name's current node.
+        // Lower every statement; `env` tracks each name's current entry.
+        let mut b = Builder::default();
         for stmt in &program.statements {
             let id = b.lower(&stmt.expr, &bound)?;
             b.env.insert(stmt.target.clone(), id);
@@ -209,11 +244,11 @@ impl KernelPlan {
 
         // Outputs: bound names the program assigned, in first-assignment
         // order (the write-back order).
-        let mut outputs: Vec<(usize, usize)> = Vec::new(); // (vector idx, node)
+        let mut outputs: Vec<(usize, usize)> = Vec::new(); // (vector idx, entry)
         for target in program.targets() {
             if let Some(&vector) = bound.get(target.as_str()) {
-                let node = b.env[&target];
-                outputs.push((b.vector_id(vector), node));
+                let entry = b.env[&target];
+                outputs.push((b.vector_id(vector), entry));
             }
         }
         if outputs.is_empty() {
@@ -225,126 +260,93 @@ impl KernelPlan {
 
     /// Levelises, allocates scratch, and emits the step list.
     fn schedule(b: Builder, outputs: Vec<(usize, usize)>) -> KernelPlan {
-        let nodes = &b.nodes;
-        // Liveness from the outputs: unneeded nodes are dead code.
-        let mut needed = vec![false; nodes.len()];
+        let entries = &b.entries;
+        // Liveness from the outputs: unneeded entries are dead code.
+        let mut needed = vec![false; entries.len()];
         let mut stack: Vec<usize> = outputs.iter().map(|&(_, n)| n).collect();
         while let Some(n) = stack.pop() {
-            if std::mem::replace(&mut needed[n], true) {
-                continue;
-            }
-            if let Node::Op { a, b, .. } = &nodes[n] {
-                stack.push(*a);
-                if let Some(b) = b {
-                    stack.push(*b);
+            if !std::mem::replace(&mut needed[n], true) {
+                if let Entry::Gate(gate) = entries[n] {
+                    stack.extend(gate.args());
                 }
             }
         }
 
-        // DAG levels (inputs at 0); node ids are already topological.
-        let mut level = vec![0u32; nodes.len()];
-        for (n, node) in nodes.iter().enumerate() {
-            if let Node::Op { a, b, .. } = node {
-                level[n] = 1 + level[*a].max(b.map_or(0, |b| level[b]));
+        // DAG levels (inputs at 0); entry ids are already topological.
+        let mut level = vec![0u32; entries.len()];
+        for (n, entry) in entries.iter().enumerate() {
+            if let Entry::Gate(gate) = entry {
+                level[n] = 1 + gate.args().fold(0, |l, a| l.max(level[a]));
             }
         }
 
-        // Schedule: needed ops ordered by (level, id) so independent
+        // Schedule: needed gates ordered by (level, id) so independent
         // same-level subexpressions sit adjacent in the emitted batch.
-        let mut order: Vec<usize> = (0..nodes.len())
-            .filter(|&n| needed[n] && matches!(nodes[n], Node::Op { .. }))
+        let mut order: Vec<(usize, Gate<usize>)> = entries
+            .iter()
+            .enumerate()
+            .filter_map(|(n, entry)| match *entry {
+                Entry::Gate(gate) if needed[n] => Some((n, gate)),
+                _ => None,
+            })
             .collect();
-        order.sort_by_key(|&n| (level[n], n));
-        let mut pos = vec![usize::MAX; nodes.len()];
-        for (p, &n) in order.iter().enumerate() {
+        order.sort_by_key(|&(n, _)| (level[n], n));
+        let mut pos = vec![0; entries.len()];
+        for (p, &(n, _)) in order.iter().enumerate() {
             pos[n] = p;
         }
 
-        // Last use of every node: the latest schedule position reading
-        // it; output nodes are also read by the end-of-kernel write-back
-        // (one past the schedule).
-        let end = order.len();
-        let mut last_use = vec![0usize; nodes.len()];
-        for &n in &order {
-            if let Node::Op { a, b, .. } = &nodes[n] {
-                last_use[*a] = last_use[*a].max(pos[n]);
-                if let Some(b) = b {
-                    last_use[*b] = last_use[*b].max(pos[n]);
-                }
+        // Last use of every entry: the latest schedule position reading
+        // it; outputs are also read by the end-of-kernel write-back (one
+        // past the schedule).
+        let mut last_use = vec![0; entries.len()];
+        for (p, &(_, gate)) in order.iter().enumerate() {
+            for arg in gate.args() {
+                last_use[arg] = p;
             }
         }
         for &(_, n) in &outputs {
-            last_use[n] = end;
+            last_use[n] = order.len();
         }
 
         // Direct output writes: output (v, n) writes vector v straight
-        // from op n when nothing scheduled after n still reads v's old
-        // contents (the op itself may — operands latch before commit).
-        let mut direct: HashMap<usize, usize> = HashMap::new(); // node → vector
-        let mut claimed: Vec<usize> = Vec::new();
+        // from gate n when nothing scheduled after n still reads v's old
+        // contents (the gate itself may — operands latch before commit).
+        let mut direct: Vec<Option<usize>> = vec![None; entries.len()]; // entry → vector
         for &(v, n) in &outputs {
-            if !matches!(nodes[n], Node::Op { .. }) || direct.contains_key(&n) {
-                continue;
-            }
-            let old_live = b
-                .input_of
-                .get(&v)
-                .map(|&inp| needed[inp] && last_use[inp] > pos[n])
-                .unwrap_or(false);
-            if !old_live && !claimed.contains(&v) {
-                direct.insert(n, v);
-                claimed.push(v);
+            if let Entry::Gate(_) = entries[n] {
+                let old_live = b.input_of[v].is_some_and(|i| needed[i] && last_use[i] > pos[n]);
+                if !old_live && direct[n].is_none() {
+                    direct[n] = Some(v);
+                }
             }
         }
 
         // Linear-scan scratch allocation over the schedule. Freeing an
         // operand's slot *before* placing the result lets the result
-        // overwrite a dying operand in place.
-        let mut loc = vec![None::<Loc>; nodes.len()];
-        for (n, node) in nodes.iter().enumerate() {
-            if let Node::Input(v) = node {
-                loc[n] = Some(Loc::Vector(*v));
-            }
-        }
-        let mut free: Vec<u32> = Vec::new();
-        let mut next_slot: u32 = 0;
+        // overwrite a dying operand in place. An input lives in its
+        // vector; a gate where its step put it (`placed[pos]`).
+        let mut slots = Slots::default();
+        let mut placed: Vec<Loc> = Vec::with_capacity(order.len());
+        let loc = |n: usize, placed: &[Loc]| match entries[n] {
+            Entry::Input(v) => Loc::Vector(v),
+            Entry::Gate(_) => placed[pos[n]],
+        };
         let mut steps: Vec<Step> = Vec::with_capacity(order.len() + outputs.len());
-        for (p, &n) in order.iter().enumerate() {
-            let Node::Op { kind, a, b: b2 } = &nodes[n] else {
-                unreachable!("schedule holds ops only")
-            };
-            // An op may read one node twice (`nand(x, x)` from the XOR
-            // network); its slot must free exactly once or the free
-            // list grows a stale duplicate that later clobbers a live
-            // value.
-            let b_arg = if *b2 == Some(*a) { None } else { *b2 };
-            for arg in [Some(*a), b_arg].into_iter().flatten() {
+        for (p, &(n, gate)) in order.iter().enumerate() {
+            for arg in gate.args() {
                 if last_use[arg] == p {
-                    if let Some(Loc::Scratch(s)) = loc[arg] {
-                        // Keep the free list sorted so reuse is
-                        // deterministic and low slots stay hot.
-                        let at = free.partition_point(|&f| f < s);
-                        free.insert(at, s);
+                    if let Loc::Scratch(s) = loc(arg, &placed) {
+                        slots.free.insert(s);
                     }
                 }
             }
-            let dst = if let Some(&v) = direct.get(&n) {
-                Loc::Vector(v)
-            } else if free.is_empty() {
-                let s = next_slot;
-                next_slot += 1;
-                Loc::Scratch(s)
-            } else {
-                Loc::Scratch(free.remove(0))
-            };
-            loc[n] = Some(dst);
-            steps.push(Step {
-                kind: *kind,
-                a: loc[*a].expect("operand scheduled before use"),
-                b: b2.map(|b| loc[b].expect("operand scheduled before use")),
+            let dst = direct[n].map_or_else(|| Loc::Scratch(slots.take()), Loc::Vector);
+            steps.push(Step::Op {
+                gate: gate.map(|a| loc(a, &placed)),
                 dst,
-                copy: false,
             });
+            placed.push(dst);
         }
 
         // Write-back hazards: a copy whose source is an *input vector*
@@ -353,57 +355,40 @@ impl KernelPlan {
         // overwrite lands. Stage every such source into a scratch slot
         // while its old value is intact — all staging copies precede all
         // write-backs, so write-back order then never matters.
-        let out_vectors: Vec<usize> = outputs.iter().map(|&(v, _)| v).collect();
-        let mut staged: HashMap<usize, Loc> = HashMap::new();
+        let mut staged: Vec<Option<Loc>> = vec![None; entries.len()];
         for &(v, n) in &outputs {
-            if !matches!(nodes[n], Node::Input(_)) || staged.contains_key(&n) {
-                continue;
-            }
-            let Some(Loc::Vector(u)) = loc[n] else { continue };
-            if u != v && out_vectors.contains(&u) {
-                let s = if free.is_empty() {
-                    let s = next_slot;
-                    next_slot += 1;
-                    s
-                } else {
-                    free.remove(0)
-                };
-                steps.push(Step {
-                    kind: OpKind::Not, // ignored for copies
-                    a: Loc::Vector(u),
-                    b: None,
-                    dst: Loc::Scratch(s),
-                    copy: true,
-                });
-                staged.insert(n, Loc::Scratch(s));
+            if let Entry::Input(u) = entries[n] {
+                if u != v && staged[n].is_none() && outputs.iter().any(|&(w, _)| w == u) {
+                    let dst = Loc::Scratch(slots.take());
+                    steps.push(Step::Copy {
+                        src: Loc::Vector(u),
+                        dst,
+                    });
+                    staged[n] = Some(dst);
+                }
             }
         }
 
         // Write-back copies for outputs not already written in place.
         for &(v, n) in &outputs {
-            let src = staged
-                .get(&n)
-                .copied()
-                .unwrap_or_else(|| loc[n].expect("output node has a location"));
+            let src = match staged[n] {
+                Some(slot) => slot,
+                None => loc(n, &placed),
+            };
             if src != Loc::Vector(v) {
-                steps.push(Step {
-                    kind: OpKind::Not, // ignored for copies
-                    a: src,
-                    b: None,
+                steps.push(Step::Copy {
+                    src,
                     dst: Loc::Vector(v),
-                    copy: true,
                 });
             }
         }
 
-        let levels = order.iter().map(|&n| level[n]).max().unwrap_or(0);
         KernelPlan {
             vectors: b.vectors,
             steps,
             output_vectors: outputs.iter().map(|&(v, _)| v).collect(),
             cse_hits: b.cse_hits,
-            scratch_slots: next_slot,
-            levels,
+            scratch_slots: slots.opened,
         }
     }
 
@@ -416,11 +401,6 @@ impl KernelPlan {
     /// Catalog vector names the plan reads or writes, in table order.
     pub fn vector_names(&self) -> impl Iterator<Item = &str> {
         self.vectors.iter().map(String::as_str)
-    }
-
-    /// Names of the catalog vectors the kernel writes.
-    pub fn output_names(&self) -> impl Iterator<Item = &str> {
-        self.output_indices().map(|v| self.vectors[v].as_str())
     }
 
     /// Table indices (see [`vector_names`](Self::vector_names)) of the
@@ -469,18 +449,30 @@ impl KernelPlan {
         };
         for step in &self.steps {
             for k in 0..n {
-                let a = resolve(step.a, k);
-                let dst = resolve(step.dst, k);
-                out.push(if step.copy {
-                    RowOp::Copy { src: a, dst }
-                } else {
-                    match (step.kind, step.b.map(|b| resolve(b, k))) {
-                        (OpKind::Not, None) => RowOp::Not { src: a, dst },
-                        (OpKind::And, Some(b)) => RowOp::And { a, b, dst },
-                        (OpKind::Or, Some(b)) => RowOp::Or { a, b, dst },
-                        (OpKind::Nand, Some(b)) => RowOp::Nand { a, b, dst },
-                        (OpKind::Nor, Some(b)) => RowOp::Nor { a, b, dst },
-                        (kind, b) => unreachable!("malformed step {kind:?}/{b:?}"),
+                let at = |loc| resolve(loc, k);
+                out.push(match *step {
+                    Step::Copy { src, dst } => RowOp::Copy {
+                        src: at(src),
+                        dst: at(dst),
+                    },
+                    Step::Op {
+                        gate: Gate::Not(src),
+                        dst,
+                    } => RowOp::Not {
+                        src: at(src),
+                        dst: at(dst),
+                    },
+                    Step::Op {
+                        gate: Gate::Bin(kind, a, b),
+                        dst,
+                    } => {
+                        let (a, b, dst) = (at(a), at(b), at(dst));
+                        match kind {
+                            BinKind::And => RowOp::And { a, b, dst },
+                            BinKind::Or => RowOp::Or { a, b, dst },
+                            BinKind::Nand => RowOp::Nand { a, b, dst },
+                            BinKind::Nor => RowOp::Nor { a, b, dst },
+                        }
                     }
                 });
             }
@@ -489,70 +481,62 @@ impl KernelPlan {
 }
 
 /// DAG construction state during lowering.
+#[derive(Default)]
 struct Builder {
-    nodes: Vec<Node>,
-    /// Hash-cons table over op nodes.
-    cons: HashMap<(OpKind, usize, usize), usize>,
-    /// Vector-table index → its input node, if one exists.
-    input_of: HashMap<usize, usize>,
+    entries: Vec<Entry>,
+    /// Hash-cons table over gate entries.
+    cons: HashMap<Gate<usize>, usize>,
+    /// The plan's vector table, in first-use order.
     vectors: Vec<String>,
-    vector_idx: HashMap<String, usize>,
+    /// Vector-table index → its input entry, if one exists.
+    input_of: Vec<Option<usize>>,
     env: HashMap<String, usize>,
     cse_hits: u64,
 }
 
 impl Builder {
     fn vector_id(&mut self, name: &str) -> usize {
-        if let Some(&v) = self.vector_idx.get(name) {
+        if let Some(v) = self.vectors.iter().position(|known| known == name) {
             return v;
         }
-        let v = self.vectors.len();
         self.vectors.push(name.to_owned());
-        self.vector_idx.insert(name.to_owned(), v);
-        v
+        self.input_of.push(None);
+        self.vectors.len() - 1
     }
 
     fn input(&mut self, vector: usize) -> usize {
-        if let Some(&n) = self.input_of.get(&vector) {
-            return n;
-        }
-        let n = self.nodes.len();
-        self.nodes.push(Node::Input(vector));
-        self.input_of.insert(vector, n);
-        n
+        *self.input_of[vector].get_or_insert_with(|| {
+            self.entries.push(Entry::Input(vector));
+            self.entries.len() - 1
+        })
     }
 
-    fn mk(&mut self, kind: OpKind, a: usize, b: Option<usize>) -> usize {
-        let key = (kind, a, b.unwrap_or(usize::MAX));
-        if let Some(&n) = self.cons.get(&key) {
+    fn mk(&mut self, gate: Gate<usize>) -> usize {
+        if let Some(&n) = self.cons.get(&gate) {
             self.cse_hits += 1;
             return n;
         }
-        let n = self.nodes.len();
-        self.nodes.push(Node::Op { kind, a, b });
-        self.cons.insert(key, n);
-        n
+        self.entries.push(Entry::Gate(gate));
+        self.cons.insert(gate, self.entries.len() - 1);
+        self.entries.len() - 1
     }
 
     /// `mk` for commutative gates: operands are canonicalised so `a∘b`
     /// unifies with `b∘a` in the cons table.
-    fn mk_sym(&mut self, kind: OpKind, mut a: usize, mut b: usize) -> usize {
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        self.mk(kind, a, Some(b))
+    fn mk_sym(&mut self, kind: BinKind, a: usize, b: usize) -> usize {
+        self.mk(Gate::Bin(kind, a.min(b), a.max(b)))
     }
 
     /// Lowers `a ^ b` to the four-gate NAND network
     /// `nand(nand(a, nab), nand(b, nab))` where `nab = nand(a, b)`.
     /// Every gate is native (6-cycle) and hash-consed — repeated XORs of
     /// the same operands dedup gate-by-gate, and a `~` over the result
-    /// complements the final NAND into an AND via [`OpKind::complement`].
+    /// complements the final NAND into an AND via [`BinKind::complement`].
     fn mk_xor(&mut self, a: usize, b: usize) -> usize {
-        let nab = self.mk_sym(OpKind::Nand, a, b);
-        let x = self.mk_sym(OpKind::Nand, a, nab);
-        let y = self.mk_sym(OpKind::Nand, b, nab);
-        self.mk_sym(OpKind::Nand, x, y)
+        let nab = self.mk_sym(BinKind::Nand, a, b);
+        let x = self.mk_sym(BinKind::Nand, a, nab);
+        let y = self.mk_sym(BinKind::Nand, b, nab);
+        self.mk_sym(BinKind::Nand, x, y)
     }
 
     fn lower(
@@ -565,35 +549,29 @@ impl Builder {
                 if let Some(&n) = self.env.get(name) {
                     return Ok(n);
                 }
-                match bound.get(name.as_str()) {
-                    Some(&vector) => {
-                        let v = self.vector_id(vector);
-                        Ok(self.input(v))
-                    }
-                    None => Err(KernelPlanError::UnknownName { name: name.clone() }),
-                }
+                let vector = bound
+                    .get(name.as_str())
+                    .ok_or_else(|| KernelPlanError::UnknownName { name: name.clone() })?;
+                let v = self.vector_id(vector);
+                Ok(self.input(v))
             }
             Expr::Not(x) => {
                 let inner = self.lower(x, bound)?;
-                Ok(match self.nodes[inner].clone() {
+                Ok(match self.entries[inner] {
                     // ~~x cancels; ~(a∘b) fuses into the inverting gate.
-                    Node::Op {
-                        kind: OpKind::Not,
-                        a,
-                        ..
-                    } => a,
-                    Node::Op { kind, a, b } if kind.complement().is_some() => {
-                        self.mk(kind.complement().expect("checked"), a, b)
+                    Entry::Gate(Gate::Not(a)) => a,
+                    Entry::Gate(Gate::Bin(kind, a, b)) => {
+                        self.mk(Gate::Bin(kind.complement(), a, b))
                     }
-                    _ => self.mk(OpKind::Not, inner, None),
+                    Entry::Input(_) => self.mk(Gate::Not(inner)),
                 })
             }
             Expr::And(x, y) | Expr::Or(x, y) | Expr::Xor(x, y) => {
                 let a = self.lower(x, bound)?;
                 let b = self.lower(y, bound)?;
                 Ok(match expr {
-                    Expr::And(..) => self.mk_sym(OpKind::And, a, b),
-                    Expr::Or(..) => self.mk_sym(OpKind::Or, a, b),
+                    Expr::And(..) => self.mk_sym(BinKind::And, a, b),
+                    Expr::Or(..) => self.mk_sym(BinKind::Or, a, b),
                     _ => self.mk_xor(a, b),
                 })
             }
@@ -683,7 +661,8 @@ mod tests {
         let p = plan("s = s ^ fb", &[("s", "vs"), ("fb", "vfb")]);
         assert_eq!(p.vector_ops(), 4);
         assert_eq!(p.scratch_slots, 2);
-        assert_eq!(p.output_names().collect::<Vec<_>>(), vec!["vs"]);
+        let names: Vec<_> = p.vector_names().collect();
+        assert_eq!(p.output_indices().map(|v| names[v]).collect::<Vec<_>>(), vec!["vs"]);
     }
 
     #[test]

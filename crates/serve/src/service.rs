@@ -627,7 +627,8 @@ impl BulkService {
         // Kernel scratch sits at the top of the data region; the
         // catalog allocates strictly below it.
         let scratch_base = data_rows - config.kernel_scratch_rows;
-        let map = ShardMap::new(config.shards, data_rows).expect("non-zero shards and rows");
+        let map = ShardMap::new(config.shards, data_rows)
+            .map_err(|message| ServeError::InvalidConfig { message })?;
         let catalog = Catalog::new(config.shards, scratch_base);
         telemetry::gauge("serve.shards").set(f64::from(config.shards));
         telemetry::gauge("serve.remote.shards").set(f64::from(remote_members));

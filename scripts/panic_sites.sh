@@ -13,7 +13,7 @@ set -eu
 
 # The ratchet: lower it whenever a change removes panic sites, never
 # raise it to admit new ones.
-ceiling=7
+ceiling=0
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 src="${1:-$root/crates/serve/src}"

@@ -6,8 +6,9 @@
 //! schedule → backend) and compared word-for-word against the host-side
 //! `u64` oracle [`Program::eval_words`]. The equivalence must hold on
 //! the raw Baseline tier and under the Protected tier's ECC-wrapped
-//! shards, at several shard counts, so striping arithmetic, scratch-row
-//! placement, and write-back copies are all exercised.
+//! shards, at one to four shards and one to eight rows, so striping
+//! arithmetic, scratch-row placement, write-back copies and vectors
+//! narrower than the pool (shards owning no row) are all exercised.
 //!
 //! The same random expressions also drive `workloads::query::Predicate`,
 //! which shares the DSL's expression grammar: parsed alone or as a
@@ -172,8 +173,8 @@ proptest! {
     fn random_kernels_match_host_eval(seed in 0u64..u64::MAX) {
         let mut g = Gen::new(seed);
         let program = gen_program(&mut g);
-        let shards = 1 + (g.below(3) as u32);
-        let rows = 3 + g.below(6);
+        let shards = 1 + (g.below(4) as u32);
+        let rows = 1 + g.below(8);
         let inputs: BTreeMap<String, u64> = [
             ("a".to_owned(), g.next()),
             ("b".to_owned(), g.next()),
