@@ -662,7 +662,10 @@ mod tests {
         assert_eq!(p.vector_ops(), 4);
         assert_eq!(p.scratch_slots, 2);
         let names: Vec<_> = p.vector_names().collect();
-        assert_eq!(p.output_indices().map(|v| names[v]).collect::<Vec<_>>(), vec!["vs"]);
+        assert_eq!(
+            p.output_indices().map(|v| names[v]).collect::<Vec<_>>(),
+            vec!["vs"]
+        );
     }
 
     #[test]
