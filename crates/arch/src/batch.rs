@@ -188,9 +188,7 @@ pub fn execute_batch(backend: &mut dyn BulkBackend, ops: &[RowOp]) -> BatchRepor
             RowOp::Nor { a, b, dst } => backend.nor(*a, *b, *dst).map(|()| RowOpOutput::Done),
             RowOp::Xnor { a, b, dst } => backend.xnor(*a, *b, *dst).map(|()| RowOpOutput::Done),
             RowOp::Copy { src, dst } => backend.copy(*src, *dst).map(|()| RowOpOutput::Done),
-            RowOp::Write { row, data } => {
-                backend.write_row(*row, data).map(|()| RowOpOutput::Done)
-            }
+            RowOp::Write { row, data } => backend.write_row(*row, data).map(|()| RowOpOutput::Done),
             RowOp::Read { row } => backend.read_row(*row).map(RowOpOutput::Data),
         })
         .collect();
@@ -262,14 +260,44 @@ impl RowOp {
         *pos += 1;
         let mut row = || take_u64(buf, pos).map(RowId);
         Some(match tag {
-            0 => RowOp::Not { src: row()?, dst: row()? },
-            1 => RowOp::And { a: row()?, b: row()?, dst: row()? },
-            2 => RowOp::Or { a: row()?, b: row()?, dst: row()? },
-            3 => RowOp::Xor { a: row()?, b: row()?, dst: row()? },
-            4 => RowOp::Nand { a: row()?, b: row()?, dst: row()? },
-            5 => RowOp::Nor { a: row()?, b: row()?, dst: row()? },
-            6 => RowOp::Xnor { a: row()?, b: row()?, dst: row()? },
-            7 => RowOp::Copy { src: row()?, dst: row()? },
+            0 => RowOp::Not {
+                src: row()?,
+                dst: row()?,
+            },
+            1 => RowOp::And {
+                a: row()?,
+                b: row()?,
+                dst: row()?,
+            },
+            2 => RowOp::Or {
+                a: row()?,
+                b: row()?,
+                dst: row()?,
+            },
+            3 => RowOp::Xor {
+                a: row()?,
+                b: row()?,
+                dst: row()?,
+            },
+            4 => RowOp::Nand {
+                a: row()?,
+                b: row()?,
+                dst: row()?,
+            },
+            5 => RowOp::Nor {
+                a: row()?,
+                b: row()?,
+                dst: row()?,
+            },
+            6 => RowOp::Xnor {
+                a: row()?,
+                b: row()?,
+                dst: row()?,
+            },
+            7 => RowOp::Copy {
+                src: row()?,
+                dst: row()?,
+            },
             8 => RowOp::Write {
                 row: RowId(take_u64(buf, pos)?),
                 data: take_words(buf, pos)?,
@@ -364,8 +392,9 @@ impl ArchError {
             },
             4 => {
                 let row = take_u64(buf, pos)?;
-                let words =
-                    take_run(buf, pos, 8, |buf, pos| take_u64(buf, pos).map(|w| w as usize))?;
+                let words = take_run(buf, pos, 8, |buf, pos| {
+                    take_u64(buf, pos).map(|w| w as usize)
+                })?;
                 ArchError::Uncorrectable { row, words }
             }
             _ => return None,
@@ -557,10 +586,19 @@ mod tests {
         let outputs = [RowOpOutput::Done, RowOpOutput::Data(vec![1, 2, u64::MAX])];
         let errors = [
             ArchError::RowOutOfRange { row: 9, rows: 4 },
-            ArchError::RowSizeMismatch { expected: 128, got: 3 },
-            ArchError::UncorrectableWrite { row: 1, attempts: 4 },
+            ArchError::RowSizeMismatch {
+                expected: 128,
+                got: 3,
+            },
+            ArchError::UncorrectableWrite {
+                row: 1,
+                attempts: 4,
+            },
             ArchError::SparesExhausted { row: 2 },
-            ArchError::Uncorrectable { row: 3, words: vec![0, 17] },
+            ArchError::Uncorrectable {
+                row: 3,
+                words: vec![0, 17],
+            },
         ];
         let mut buf = Vec::new();
         for o in &outputs {

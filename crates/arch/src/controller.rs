@@ -672,10 +672,8 @@ mod tests {
     fn skipping_scrub_lets_upsets_accumulate() {
         // The same two upsets without the intervening patrol: double-bit.
         let spec = DriftSpec::accelerated(42, 390.0, 0.0);
-        let mut c = ReliabilityController::new(
-            FeramBackend::tiny(),
-            ControllerConfig::ecc_only(spec),
-        );
+        let mut c =
+            ReliabilityController::new(FeramBackend::tiny(), ControllerConfig::ecc_only(spec));
         let words = c.geometry().row_words();
         c.write_row(RowId(0), &row_of(words, 0x1234_5678)).unwrap();
         let mut mask = vec![0u64; words];
@@ -694,7 +692,8 @@ mod tests {
     fn drift_ticks_decay_storage_through_the_backend() {
         let mut c = protected(1e9); // scrub effectively off
         let words = c.geometry().row_words();
-        c.write_row(RowId(0), &row_of(words, 0xFFFF_0000_FFFF_0000)).unwrap();
+        c.write_row(RowId(0), &row_of(words, 0xFFFF_0000_FFFF_0000))
+            .unwrap();
         // Hours at 390 K under the accelerated spec: flips must land.
         for _ in 0..10 {
             c.tick(3600.0).unwrap();
@@ -726,10 +725,7 @@ mod tests {
             c.read_row(RowId(2)).unwrap()
         );
         assert_eq!(bare.stats().total_cycles(), c.stats().total_cycles());
-        assert_eq!(
-            bare.stats().total_energy_nj(),
-            c.stats().total_energy_nj()
-        );
+        assert_eq!(bare.stats().total_energy_nj(), c.stats().total_energy_nj());
     }
 
     #[test]
@@ -754,18 +750,24 @@ mod tests {
             c.xor(RowId(0), RowId(1), RowId(2)).unwrap();
         }
         c.tick(1.0).unwrap();
-        assert!(c.controller_stats().scrub_rewrites > 0, "hot rows rewritten");
+        assert!(
+            c.controller_stats().scrub_rewrites > 0,
+            "hot rows rewritten"
+        );
         assert_eq!(c.read_row(RowId(2)).unwrap()[0], 0xAA ^ 0x55);
     }
 
     #[test]
     fn scrub_without_ecc_degrades_to_refresh() {
         let spec = DriftSpec::quiet(5);
-        let mut c = ReliabilityController::new(FeramBackend::tiny(), ControllerConfig {
-            ecc: false,
-            scrub: Some(ScrubConfig::every(1.0)),
-            drift: spec,
-        });
+        let mut c = ReliabilityController::new(
+            FeramBackend::tiny(),
+            ControllerConfig {
+                ecc: false,
+                scrub: Some(ScrubConfig::every(1.0)),
+                drift: spec,
+            },
+        );
         let words = c.geometry().row_words();
         c.write_row(RowId(0), &row_of(words, 1)).unwrap();
         c.write_row(RowId(1), &row_of(words, 2)).unwrap();
@@ -784,10 +786,7 @@ mod tests {
             for _ in 0..20 {
                 c.tick(60.0).unwrap();
             }
-            (
-                c.peek_row(RowId(0)).unwrap(),
-                c.controller_stats().clone(),
-            )
+            (c.peek_row(RowId(0)).unwrap(), c.controller_stats().clone())
         };
         let (a1, s1) = run();
         let (a2, s2) = run();

@@ -326,18 +326,19 @@ impl DriftProcess {
             self.spec.sense_floor,
         );
         // Imprint: the V_c-shift tail differenced over the tick.
-        let p_imp_end = self
-            .spec
-            .imprint
-            .bit_upset_probability(hold_end, t_k, self.spec.sense_margin_v);
-        let p_imp_start = self
-            .spec
-            .imprint
-            .bit_upset_probability(hold_start, t_k, self.spec.sense_margin_v);
+        let p_imp_end =
+            self.spec
+                .imprint
+                .bit_upset_probability(hold_end, t_k, self.spec.sense_margin_v);
+        let p_imp_start =
+            self.spec
+                .imprint
+                .bit_upset_probability(hold_start, t_k, self.spec.sense_margin_v);
         let p_imp = (p_imp_end - p_imp_start).max(0.0);
         // QNRO disturb: every not-yet-charged sense contributes.
         let new_reads = state.reads_since_write - state.reads_charged;
-        let p_disturb = 1.0 - (1.0 - self.spec.disturb_per_read).powi(new_reads.min(1 << 30) as i32);
+        let p_disturb =
+            1.0 - (1.0 - self.spec.disturb_per_read).powi(new_reads.min(1 << 30) as i32);
         // Independent processes compose as survival products; wear
         // acceleration scales the combined hazard.
         let survive = (1.0 - p_ret) * (1.0 - p_imp) * (1.0 - p_disturb);

@@ -594,19 +594,15 @@ impl FeramBackend {
         // and cost accounting above are identical either way.
         let mut truth = std::mem::take(&mut self.row_buf);
         let result = (|| {
-            self.planes.combine2_into(
-                self.plane_of(phys_a, 0),
-                pb0,
-                &mut truth,
-                |x, y| {
+            self.planes
+                .combine2_into(self.plane_of(phys_a, 0), pb0, &mut truth, |x, y| {
                     let m = minority_words(x, y, control_word);
                     if complement {
                         !m
                     } else {
                         m
                     }
-                },
-            )?;
+                })?;
             if self.faults.is_some() {
                 let sensed = self.sense(a, &truth);
                 self.commit_data(dst, &sensed)?;
@@ -740,7 +736,10 @@ impl BulkBackend for FeramBackend {
     }
 
     fn scratch_rows(&self, count: usize) -> Vec<RowId> {
-        assert!(count <= SCRATCH_ROWS as usize, "at most 8 general scratch rows");
+        assert!(
+            count <= SCRATCH_ROWS as usize,
+            "at most 8 general scratch rows"
+        );
         (0..count as u64)
             .map(|i| RowId(self.reserved_base() + 1 + i))
             .collect()
@@ -1077,7 +1076,10 @@ mod tests {
             assert_eq!(m.read_row(RowId(r)).unwrap(), data, "row {r}");
         }
         let rel = m.reliability_stats();
-        assert!(rel.injected_write_flips > 0, "flips must have been injected");
+        assert!(
+            rel.injected_write_flips > 0,
+            "flips must have been injected"
+        );
         assert!(rel.write_retries > 0, "some writes must have needed retry");
         assert_eq!(rel.escaped_faults, 0, "verification must catch everything");
     }
@@ -1233,7 +1235,9 @@ mod tests {
             redundant_reads: true,
             ..DegradationPolicy::none()
         };
-        let mut m = FeramBackend::tiny().with_faults(spec.clone()).with_policy(policy);
+        let mut m = FeramBackend::tiny()
+            .with_faults(spec.clone())
+            .with_policy(policy);
         let data = row_of(&m, 0x1234_5678_9ABC_DEF0);
         m.install_row(RowId(0), &data).unwrap();
         for _ in 0..30 {

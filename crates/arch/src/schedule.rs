@@ -312,7 +312,8 @@ mod tests {
             let base = i * 64;
             m.install_row(RowId(base), &vec![1u64; words]).unwrap();
             m.install_row(RowId(base + 1), &vec![2u64; words]).unwrap();
-            m.nand(RowId(base), RowId(base + 1), RowId(base + 2)).unwrap();
+            m.nand(RowId(base), RowId(base + 1), RowId(base + 2))
+                .unwrap();
         }
         let l = *m.latency_model();
         let r = schedule(m.command_log(), m.geometry(), &l, 8);

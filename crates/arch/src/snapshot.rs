@@ -196,7 +196,10 @@ mod tests {
         assert_eq!(take_u8(&buf, &mut pos), Some(0xAB));
         assert_eq!(take_u32(&buf, &mut pos), Some(0xDEAD_BEEF));
         assert_eq!(take_u64(&buf, &mut pos), Some(u64::MAX - 3));
-        assert_eq!(take_f64(&buf, &mut pos).map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(
+            take_f64(&buf, &mut pos).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
         assert_eq!(take_f64(&buf, &mut pos), Some(1.5e-300));
         assert_eq!(take_bool(&buf, &mut pos), Some(true));
         assert_eq!(take_bool(&buf, &mut pos), Some(false));

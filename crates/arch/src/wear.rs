@@ -174,8 +174,7 @@ mod tests {
         // case must round-trip as an explicit null.
         let empty = WearTracker::new().report();
         let json = serde_json::to_string(&empty).unwrap();
-        let value: serde_json::Value =
-            serde_json::from_str(&json).expect("report JSON must parse");
+        let value: serde_json::Value = serde_json::from_str(&json).expect("report JSON must parse");
         assert!(
             value
                 .get("repeatable_runs")
@@ -187,8 +186,7 @@ mod tests {
         w.record_write(RowId(4));
         let bounded = w.report();
         let json = serde_json::to_string(&bounded).unwrap();
-        let value: serde_json::Value =
-            serde_json::from_str(&json).expect("report JSON must parse");
+        let value: serde_json::Value = serde_json::from_str(&json).expect("report JSON must parse");
         assert_eq!(
             value.get("repeatable_runs").and_then(|v| v.as_f64()),
             Some(100.0)

@@ -72,7 +72,10 @@ fn assert_golden(name: &str, snap: &[u8], len: usize, digest: u64) {
 fn feram_snapshot_bytes_are_pinned() {
     let mut feram = rotating_feram();
     drive(&mut feram);
-    assert!(feram.remapped_rows() > 0, "the sequence must rotate a scratch row");
+    assert!(
+        feram.remapped_rows() > 0,
+        "the sequence must rotate a scratch row"
+    );
     let snap = feram.snapshot_state().unwrap();
     assert_golden("FeRAM", &snap, 24853, 0xe4a8_9c30_c662_b394);
 }
@@ -90,7 +93,10 @@ fn protected_controller_snapshot_bytes_are_pinned() {
     let config = ControllerConfig::protected(DriftSpec::accelerated(17, 390.0, 1e-4), 7200.0);
     let mut controller = ReliabilityController::new(FeramBackend::tiny(), config);
     drive(&mut controller);
-    assert!(controller.drift().flips_injected() > 0, "the drift RNG must have been drawn from");
+    assert!(
+        controller.drift().flips_injected() > 0,
+        "the drift RNG must have been drawn from"
+    );
     let snap = controller.snapshot_state().unwrap();
     assert_golden("protected controller", &snap, 20312, 0x7ef9_cd77_f23f_3727);
 }
@@ -114,7 +120,10 @@ fn rows_outside_the_array_are_refused() {
     for at in [first_row_key, spares - 16, good.len() - 8] {
         let mut crafted = good.clone();
         crafted[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        assert!(!rotating_feram().restore_state(&crafted), "row at byte {at} accepted");
+        assert!(
+            !rotating_feram().restore_state(&crafted),
+            "row at byte {at} accepted"
+        );
     }
     assert!(rotating_feram().restore_state(&good));
 }
