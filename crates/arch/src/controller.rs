@@ -53,7 +53,7 @@
 use crate::drift::{DriftProcess, DriftSpec};
 use crate::ecc::RowCode;
 use crate::fault::ReliabilityStats;
-use crate::geometry::{MemoryGeometry, RowId, RowMap};
+use crate::geometry::{MemoryGeometry, RowId, RowTable};
 use crate::scrub::{PatrolScrubber, ScrubConfig};
 use crate::stats::ExecStats;
 use crate::{ArchError, BulkBackend};
@@ -198,21 +198,22 @@ pub struct ReliabilityController<B: BulkBackend> {
     drift: DriftProcess,
     scrubber: Option<PatrolScrubber>,
     /// SECDED side-bands for every row written through the controller.
-    codes: RowMap<u64, RowCode>,
+    codes: RowTable<RowCode>,
     stats: ControllerStats,
 }
 
 impl<B: BulkBackend> ReliabilityController<B> {
     /// Wraps `inner` under `config`.
     pub fn new(inner: B, config: ControllerConfig) -> Self {
-        let drift = DriftProcess::new(config.drift.clone());
+        let geometry = *inner.geometry();
+        let drift = DriftProcess::new(config.drift.clone(), &geometry);
         let scrubber = config.scrub.map(PatrolScrubber::new);
         Self {
             inner,
             config,
             drift,
             scrubber,
-            codes: RowMap::default(),
+            codes: RowTable::new(geometry.total_rows()),
             stats: ControllerStats::default(),
         }
     }
@@ -262,14 +263,14 @@ impl<B: BulkBackend> ReliabilityController<B> {
     /// is decoded into temporaries, and the wrapped backend (which
     /// restores atomically itself) is restored before any is committed.
     fn try_restore(&mut self, buf: &[u8]) -> Option<()> {
-        use crate::snapshot::{take_bool, take_bytes, take_run, take_u64, take_u8};
+        use crate::snapshot::{take_bool, take_bytes, take_table, take_u64, take_u8};
         let mut pos = 0usize;
         if take_u8(buf, &mut pos)? != 2 || take_bool(buf, &mut pos)? != self.config.ecc {
             return None;
         }
         let geometry = *self.inner.geometry();
         let mut drift = self.drift.clone();
-        drift.restore_state(geometry, buf, &mut pos)?;
+        drift.restore_state(buf, &mut pos)?;
         let scrubber = match (take_bool(buf, &mut pos)?, self.scrubber.clone()) {
             (true, Some(mut s)) => {
                 s.restore_state(buf, &mut pos)?;
@@ -280,11 +281,10 @@ impl<B: BulkBackend> ReliabilityController<B> {
         };
         // One SECDED check byte per 64-bit word; every entry is at least
         // a row key and a length prefix.
-        let codes = take_run(buf, &mut pos, 16, |buf, pos| {
+        let codes = take_table(buf, &mut pos, geometry.total_rows(), 16, |buf, pos| {
             let row = take_u64(buf, pos)?;
             let checks = take_bytes(buf, pos)?;
-            (geometry.contains(RowId(row)) && checks.len() == geometry.row_words())
-                .then(|| (row, RowCode::from_checks(checks)))
+            (checks.len() == geometry.row_words()).then(|| (row, RowCode::from_checks(checks)))
         })?;
         let stats = ControllerStats::decode_state(buf, &mut pos)?;
         let inner = take_bytes(buf, &mut pos)?;
@@ -311,7 +311,10 @@ impl<B: BulkBackend> ReliabilityController<B> {
         // distinguish them — both decode every all-zero read as clean, so
         // the conservative choice is identical).
         let stored = self.inner.stored_row(row)?;
-        let code = self.codes.entry(row.0).or_default();
+        // `stored_row` checked the row, so the table holds it.
+        let Some(code) = self.codes.get_or_default(row.0) else {
+            return Ok(());
+        };
         match stored {
             Some(stored) => code.reencode(stored),
             None => code.reencode_zeros(self.inner.geometry().row_words()),
@@ -325,7 +328,7 @@ impl<B: BulkBackend> ReliabilityController<B> {
         if !self.config.ecc {
             return Ok(());
         }
-        let Some(code) = self.codes.get(&row.0) else {
+        let Some(code) = self.codes.get(row.0) else {
             return Ok(());
         };
         let outcome = code.check_row(data);
@@ -376,7 +379,7 @@ impl<B: BulkBackend> ReliabilityController<B> {
             .is_some_and(|s| self.inner.wear_fraction(row) >= s.hot_row_fraction);
         let mut rewrite = hot;
         if self.config.ecc {
-            if let Some(code) = self.codes.get(&row.0) {
+            if let Some(code) = self.codes.get(row.0) {
                 let outcome = code.check_row(&mut data);
                 self.stats.corrected_check_bits += outcome.corrected_check_bits;
                 if outcome.corrected_bits > 0 {
@@ -518,7 +521,7 @@ impl<B: BulkBackend> BulkBackend for ReliabilityController<B> {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        use crate::snapshot::{put_bool, put_bytes, put_map, put_u64, put_u8};
+        use crate::snapshot::{put_bool, put_bytes, put_table, put_u64, put_u8};
         let inner = self.inner.snapshot_state()?;
         let mut out = Vec::new();
         put_u8(&mut out, 2); // controller snapshot version
@@ -531,7 +534,7 @@ impl<B: BulkBackend> BulkBackend for ReliabilityController<B> {
             }
             None => put_bool(&mut out, false),
         }
-        put_map(&mut out, &self.codes, |out, row, code| {
+        put_table(&mut out, &self.codes, |out, row, code| {
             put_u64(out, row);
             put_bytes(out, code.checks());
         });
@@ -923,13 +926,20 @@ mod tests {
         }
     }
 
+    /// The bad snapshots patch the drift row key of a valid one.
     #[test]
     fn restore_refuses_drift_rows_outside_the_array() {
         let rows = protected(7200.0).geometry().total_rows();
-        for (row, accepted) in [(rows - 1, true), (rows, false)] {
-            let mut c = protected(7200.0);
-            c.drift.note_write(RowId(row));
-            let snap = c.snapshot_state().unwrap();
+        let mut c = protected(7200.0);
+        c.drift.note_write(RowId(rows - 1));
+        let good = c.snapshot_state().unwrap();
+        // Version and ECC flag; the drift seed, generator state, clock,
+        // tick and flip counts and row count; then the only row's key.
+        let key = 1 + 1 + 8 + 32 + 8 + 8 + 8 + 8;
+        assert_eq!(good[key..key + 8], (rows - 1).to_le_bytes());
+        for (row, accepted) in [(rows - 1, true), (rows, false), (u64::MAX, false)] {
+            let mut snap = good.clone();
+            snap[key..key + 8].copy_from_slice(&row.to_le_bytes());
             let mut target = protected(7200.0);
             assert_eq!(target.restore_state(&snap), accepted, "row {row}");
             assert_eq!(target.drift().tracked_rows().len(), usize::from(accepted));

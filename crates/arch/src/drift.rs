@@ -27,7 +27,7 @@
 //! per-row XOR masks from one seed, so a drift campaign reproduces bit
 //! for bit.
 
-use crate::geometry::{MemoryGeometry, RowHasher, RowId, RowMap};
+use crate::geometry::{MemoryGeometry, RowHasher, RowId, RowTable};
 use felim_cell::margin::MarginReport;
 use felim_ferro::imprint::ImprintModel;
 use felim_ferro::retention::RetentionModel;
@@ -35,7 +35,6 @@ use felim_telemetry::CachedCounter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
@@ -167,7 +166,7 @@ pub struct DriftProcess {
     spec: DriftSpec,
     rng: StdRng,
     now_s: f64,
-    rows: RowMap<u64, RowDrift>,
+    rows: RowTable<RowDrift>,
     /// The keys of `rows` in ascending order: the walk order of every
     /// sampling pass. A row joins it on its first write and never
     /// leaves, since nothing untracks a row.
@@ -186,13 +185,14 @@ pub struct DriftProcess {
 }
 
 impl DriftProcess {
-    /// Creates a process at `t = 0` with no tracked rows.
+    /// Creates a process at `t = 0` with no tracked rows, for the rows
+    /// of `geometry`.
     ///
     /// # Panics
     ///
     /// Panics unless `disturb_per_read` is a probability and
     /// `sense_floor ∈ (0, 1)`.
-    pub fn new(spec: DriftSpec) -> Self {
+    pub fn new(spec: DriftSpec, geometry: &MemoryGeometry) -> Self {
         assert!(
             (0.0..=1.0).contains(&spec.disturb_per_read),
             "disturb rate must be a probability"
@@ -206,7 +206,7 @@ impl DriftProcess {
             spec,
             rng,
             now_s: 0.0,
-            rows: RowMap::default(),
+            rows: RowTable::new(geometry.total_rows()),
             order: Vec::new(),
             hold_cache: HashMap::default(),
             ticks: 0,
@@ -243,25 +243,27 @@ impl DriftProcess {
     }
 
     /// Marks `row` as freshly written: its hold time and disturb count
-    /// restart, and it is tracked from now on.
+    /// restart, and it is tracked from now on. A row outside the
+    /// geometry is not tracked.
     pub fn note_write(&mut self, row: RowId) {
-        let state = match self.rows.entry(row.0) {
-            Entry::Occupied(entry) => entry.into_mut(),
-            Entry::Vacant(entry) => {
-                let at = self.order.partition_point(|&k| k < row.0);
-                self.order.insert(at, row.0);
-                entry.insert(RowDrift::default())
-            }
+        let fresh = self.rows.get(row.0).is_none();
+        let Some(state) = self.rows.get_or_default(row.0) else {
+            return;
         };
-        state.last_write_s = self.now_s;
-        state.reads_since_write = 0;
-        state.reads_charged = 0;
+        *state = RowDrift {
+            last_write_s: self.now_s,
+            ..RowDrift::default()
+        };
+        if fresh {
+            let at = self.order.partition_point(|&k| k < row.0);
+            self.order.insert(at, row.0);
+        }
     }
 
     /// Records one QNRO sense of `row` (only tracked rows accumulate
     /// disturb — an unwritten row has nothing to disturb).
     pub fn note_read(&mut self, row: RowId) {
-        if let Some(state) = self.rows.get_mut(&row.0) {
+        if let Some(state) = self.rows.get_mut(row.0) {
             state.reads_since_write += 1;
         }
     }
@@ -312,7 +314,7 @@ impl DriftProcess {
     /// [`DriftProcess::sample_row`], which reaches the same value
     /// through the per-tick hold-time cache.
     pub fn row_flip_probability(&self, row: RowId, dt_s: f64, wear_fraction: f64) -> f64 {
-        let Some(state) = self.rows.get(&row.0) else {
+        let Some(state) = self.rows.get(row.0) else {
             return 0.0;
         };
         let t_k = self.spec.temperature_k;
@@ -368,7 +370,7 @@ impl DriftProcess {
     /// reads marked as charged (whatever the probability comes to: the
     /// charge is part of the snapshot).
     fn charge_row(&mut self, row: RowId, dt_s: f64, wear_fraction: f64) -> f64 {
-        let Some(state) = self.rows.get_mut(&row.0) else {
+        let Some(state) = self.rows.get_mut(row.0) else {
             return 0.0;
         };
         let spec = &self.spec;
@@ -425,7 +427,7 @@ impl DriftProcess {
         wear_fraction: f64,
     ) -> Option<Vec<u64>> {
         let p = self.row_flip_probability(row, dt_s, wear_fraction);
-        if let Some(state) = self.rows.get_mut(&row.0) {
+        if let Some(state) = self.rows.get_mut(row.0) {
             state.reads_charged = state.reads_since_write;
         }
         self.draw_mask(p, words)
@@ -434,9 +436,9 @@ impl DriftProcess {
     /// Appends the full process state to a state snapshot: the spec
     /// seed (for validation; the restored process must have been built
     /// from the same spec), the sampler's generator state (4 × u64), the
-    /// clock and counters, then per-row bookkeeping sorted by row.
+    /// clock and counters, then per-row bookkeeping in row order.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
-        use crate::snapshot::{put_f64, put_map, put_u64};
+        use crate::snapshot::{put_f64, put_table, put_u64};
         put_u64(out, self.spec.seed);
         for word in self.rng.state() {
             put_u64(out, word);
@@ -444,7 +446,7 @@ impl DriftProcess {
         put_f64(out, self.now_s);
         put_u64(out, self.ticks);
         put_u64(out, self.flips_injected);
-        put_map(out, &self.rows, |out, k, state| {
+        put_table(out, &self.rows, |out, k, state| {
             put_u64(out, k);
             put_f64(out, state.last_write_s);
             put_u64(out, state.reads_since_write);
@@ -461,15 +463,11 @@ impl DriftProcess {
     /// a clock that no process reaches: a `now_s` or a row's
     /// `last_write_s` that is negative or not finite, or a row written
     /// after `now_s`. A NaN clock would make every hold time zero and
-    /// stop drift for good. A row outside `geometry` is refused before
-    /// it is inserted, which bounds the map by the array.
-    pub fn restore_state(
-        &mut self,
-        geometry: MemoryGeometry,
-        buf: &[u8],
-        pos: &mut usize,
-    ) -> Option<()> {
-        use crate::snapshot::{take_f64, take_run, take_u64};
+    /// stop drift for good. A row outside the geometry the process was
+    /// built for is refused before it is stored, which bounds the table
+    /// by the array.
+    pub fn restore_state(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
+        use crate::snapshot::{take_f64, take_table, take_u64};
         let mut probe = *pos;
         if take_u64(buf, &mut probe)? != self.spec.seed {
             return None;
@@ -487,7 +485,7 @@ impl DriftProcess {
         }
         let ticks = take_u64(buf, &mut probe)?;
         let flips_injected = take_u64(buf, &mut probe)?;
-        let rows: RowMap<u64, RowDrift> = take_run(buf, &mut probe, 32, |buf, pos| {
+        let rows = take_table(buf, &mut probe, self.rows.capacity(), 32, |buf, pos| {
             let key = take_u64(buf, pos)?;
             let state = RowDrift {
                 last_write_s: take_f64(buf, pos)?,
@@ -496,8 +494,7 @@ impl DriftProcess {
             };
             // The write happened on the clock, and charged reads are a
             // prefix of the reads since the write.
-            (geometry.contains(RowId(key))
-                && (0.0..=now_s).contains(&state.last_write_s)
+            ((0.0..=now_s).contains(&state.last_write_s)
                 && state.reads_charged <= state.reads_since_write)
                 .then_some((key, state))
         })?;
@@ -505,8 +502,7 @@ impl DriftProcess {
         self.now_s = now_s;
         self.ticks = ticks;
         self.flips_injected = flips_injected;
-        self.order = rows.keys().copied().collect();
-        self.order.sort_unstable();
+        self.order = rows.iter().map(|(key, _)| key).collect();
         self.rows = rows;
         *pos = probe;
         Some(())
@@ -527,7 +523,7 @@ mod tests {
 
     #[test]
     fn quiet_spec_injects_nothing_at_operating_conditions() {
-        let mut p = DriftProcess::new(DriftSpec::quiet(1));
+        let mut p = DriftProcess::new(DriftSpec::quiet(1), &tiny());
         p.note_write(RowId(0));
         // A full simulated day at 300 K.
         p.tick(86_400.0);
@@ -537,7 +533,7 @@ mod tests {
 
     #[test]
     fn accelerated_spec_decays_held_rows() {
-        let mut p = DriftProcess::new(hot(7));
+        let mut p = DriftProcess::new(hot(7), &tiny());
         p.note_write(RowId(3));
         // Hours at 390 K under the compressed τ: decay must fire.
         let mut total = 0u64;
@@ -554,7 +550,7 @@ mod tests {
 
     #[test]
     fn untracked_rows_never_flip() {
-        let mut p = DriftProcess::new(hot(3));
+        let mut p = DriftProcess::new(hot(3), &tiny());
         p.tick(1e6);
         assert_eq!(p.row_flip_probability(RowId(9), 1e6, 1.0), 0.0);
         assert_eq!(p.sample_row(RowId(9), 16, 1e6, 1.0), None);
@@ -562,7 +558,7 @@ mod tests {
 
     #[test]
     fn rewrites_reset_the_hold_clock() {
-        let mut p = DriftProcess::new(hot(5));
+        let mut p = DriftProcess::new(hot(5), &tiny());
         p.note_write(RowId(0));
         p.tick(7200.0);
         let aged = p.row_flip_probability(RowId(0), 7200.0, 0.0);
@@ -575,10 +571,13 @@ mod tests {
 
     #[test]
     fn reads_accumulate_disturb_and_are_charged_once() {
-        let mut p = DriftProcess::new(DriftSpec {
-            disturb_per_read: 0.01,
-            ..DriftSpec::quiet(11)
-        });
+        let mut p = DriftProcess::new(
+            DriftSpec {
+                disturb_per_read: 0.01,
+                ..DriftSpec::quiet(11)
+            },
+            &tiny(),
+        );
         p.note_write(RowId(0));
         for _ in 0..50 {
             p.note_read(RowId(0));
@@ -594,7 +593,7 @@ mod tests {
 
     #[test]
     fn wear_accelerates_decay() {
-        let mut p = DriftProcess::new(hot(13));
+        let mut p = DriftProcess::new(hot(13), &tiny());
         p.note_write(RowId(0));
         p.tick(3600.0);
         let fresh = p.row_flip_probability(RowId(0), 3600.0, 0.0);
@@ -605,7 +604,7 @@ mod tests {
     #[test]
     fn process_is_deterministic_per_seed() {
         let run = |seed| {
-            let mut p = DriftProcess::new(hot(seed));
+            let mut p = DriftProcess::new(hot(seed), &tiny());
             p.note_write(RowId(0));
             p.note_write(RowId(1));
             let mut masks = Vec::new();
@@ -638,7 +637,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bad tick dt")]
     fn rejects_negative_ticks() {
-        DriftProcess::new(DriftSpec::quiet(0)).tick(-1.0);
+        DriftProcess::new(DriftSpec::quiet(0), &tiny()).tick(-1.0);
     }
 
     #[test]
@@ -646,7 +645,7 @@ mod tests {
         // Age a process far enough that its RNG stream has been consumed,
         // snapshot it, restore into a fresh process, then run both
         // forward: every subsequent mask must match bit for bit.
-        let mut original = DriftProcess::new(hot(21));
+        let mut original = DriftProcess::new(hot(21), &tiny());
         original.note_write(RowId(0));
         original.note_write(RowId(5));
         for _ in 0..6 {
@@ -658,9 +657,9 @@ mod tests {
         let mut snap = Vec::new();
         original.encode_state(&mut snap);
 
-        let mut restored = DriftProcess::new(hot(21));
+        let mut restored = DriftProcess::new(hot(21), &tiny());
         let mut pos = 0;
-        assert!(restored.restore_state(tiny(), &snap, &mut pos).is_some());
+        assert!(restored.restore_state(&snap, &mut pos).is_some());
         assert_eq!(pos, snap.len(), "consume exactly what was written");
         assert_eq!(restored.now_s(), original.now_s());
         assert_eq!(restored.ticks(), original.ticks());
@@ -679,15 +678,15 @@ mod tests {
         }
 
         // A seed mismatch must refuse, leaving the target untouched.
-        let mut wrong = DriftProcess::new(hot(22));
+        let mut wrong = DriftProcess::new(hot(22), &tiny());
         let mut pos = 0;
-        assert!(wrong.restore_state(tiny(), &snap, &mut pos).is_none());
+        assert!(wrong.restore_state(&snap, &mut pos).is_none());
         assert_eq!(pos, 0);
     }
 
     #[test]
     fn restore_resumes_the_generator_and_refuses_the_zero_state() {
-        let mut original = DriftProcess::new(hot(33));
+        let mut original = DriftProcess::new(hot(33), &tiny());
         original.note_write(RowId(2));
         for _ in 0..4 {
             original.tick(3600.0);
@@ -695,8 +694,8 @@ mod tests {
         }
         let mut snap = Vec::new();
         original.encode_state(&mut snap);
-        let mut restored = DriftProcess::new(hot(33));
-        assert!(restored.restore_state(tiny(), &snap, &mut 0).is_some());
+        let mut restored = DriftProcess::new(hot(33), &tiny());
+        assert!(restored.restore_state(&snap, &mut 0).is_some());
         let mut flipped = false;
         for _ in 0..4 {
             original.tick(3600.0);
@@ -710,15 +709,15 @@ mod tests {
         // The generator state follows the 8-byte seed; all-zero is not
         // a state any seed reaches, so it is refused untouched.
         snap[8..40].fill(0);
-        let mut target = DriftProcess::new(hot(33));
+        let mut target = DriftProcess::new(hot(33), &tiny());
         let mut pos = 0;
-        assert!(target.restore_state(tiny(), &snap, &mut pos).is_none());
+        assert!(target.restore_state(&snap, &mut pos).is_none());
         assert_eq!((pos, target.ticks()), (0, 0));
     }
 
     #[test]
     fn restore_refuses_clocks_no_process_reaches() {
-        let mut original = DriftProcess::new(hot(44));
+        let mut original = DriftProcess::new(hot(44), &tiny());
         original.tick(60.0);
         original.note_write(RowId(3));
         original.tick(60.0);
@@ -740,14 +739,14 @@ mod tests {
         ] {
             let mut crafted = good.clone();
             crafted[field.clone()].copy_from_slice(&bad.to_le_bytes());
-            let mut target = DriftProcess::new(hot(44));
+            let mut target = DriftProcess::new(hot(44), &tiny());
             let mut pos = 0;
-            let restored = target.restore_state(tiny(), &crafted, &mut pos);
+            let restored = target.restore_state(&crafted, &mut pos);
             assert!(restored.is_none(), "{field:?} = {bad}");
             assert_eq!((pos, target.now_s()), (0, 0.0));
         }
-        let mut target = DriftProcess::new(hot(44));
-        assert!(target.restore_state(tiny(), &good, &mut 0).is_some());
+        let mut target = DriftProcess::new(hot(44), &tiny());
+        assert!(target.restore_state(&good, &mut 0).is_some());
         assert_eq!(target.now_s(), 120.0);
     }
 
@@ -759,9 +758,9 @@ mod tests {
 
     /// A snapshot restored into a fresh process built from `spec`.
     fn restored(spec: &DriftSpec, from: &DriftProcess) -> DriftProcess {
-        let mut p = DriftProcess::new(spec.clone());
+        let mut p = DriftProcess::new(spec.clone(), &tiny());
         let snap = state_bytes(from);
-        assert!(p.restore_state(tiny(), &snap, &mut 0).is_some());
+        assert!(p.restore_state(&snap, &mut 0).is_some());
         p
     }
 
@@ -786,8 +785,8 @@ mod tests {
                     _ => 1.0,
                 })
                 .collect();
-            let mut fast = DriftProcess::new(spec.clone());
-            let mut oracle = DriftProcess::new(spec.clone());
+            let mut fast = DriftProcess::new(spec.clone(), &tiny());
+            let mut oracle = DriftProcess::new(spec.clone(), &tiny());
             let (mut shared, mut flipped) = (false, false);
             for step in 0..80 {
                 for _ in 0..script.gen_range(0..6) {
@@ -841,7 +840,7 @@ mod tests {
 
     #[test]
     fn walk_order_is_ascending_and_survives_a_restore() {
-        let mut p = DriftProcess::new(hot(46));
+        let mut p = DriftProcess::new(hot(46), &tiny());
         for row in [9, 3, 40, 3, 0, 17, 9] {
             p.note_write(RowId(row));
         }
@@ -857,14 +856,20 @@ mod tests {
     fn restore_refuses_rows_outside_the_geometry() {
         let geometry = MemoryGeometry::tiny();
         let last = geometry.total_rows() - 1;
+        let mut original = DriftProcess::new(hot(45), &geometry);
+        original.note_write(RowId(last));
+        let mut good = Vec::new();
+        original.encode_state(&mut good);
+        // Seed, four generator words, clock, ticks, flip count and row
+        // count, then the only row's key.
+        let key = 72..80;
+        assert_eq!(good[key.clone()], last.to_le_bytes());
         for (row, accepted) in [(last, true), (last + 1, false), (u64::MAX, false)] {
-            let mut original = DriftProcess::new(hot(45));
-            original.note_write(RowId(row));
-            let mut snap = Vec::new();
-            original.encode_state(&mut snap);
-            let mut target = DriftProcess::new(hot(45));
+            let mut snap = good.clone();
+            snap[key.clone()].copy_from_slice(&row.to_le_bytes());
+            let mut target = DriftProcess::new(hot(45), &geometry);
             let mut pos = 0;
-            let restored = target.restore_state(geometry, &snap, &mut pos);
+            let restored = target.restore_state(&snap, &mut pos);
             assert_eq!(restored.is_some(), accepted, "row {row}");
             assert_eq!(target.tracked_rows().len(), usize::from(accepted));
         }

@@ -2,18 +2,19 @@
 //!
 //! Every simulated command also computes its real result, so workload
 //! outputs can be verified bit-for-bit against software references. Rows
-//! are lazily materialised (an 8 GB memory is addressable without 8 GB of
-//! host RAM). Addressing mistakes surface as [`ArchError`]s rather than
+//! are lazily materialised in a paged [`RowTable`] (an 8 GB memory is
+//! addressable without 8 GB of host RAM). Addressing mistakes surface as [`ArchError`]s rather than
 //! panics, so backends can propagate them as typed failures.
 
-use crate::geometry::{MemoryGeometry, RowId, RowMap};
+use crate::geometry::{MemoryGeometry, RowId, RowTable};
 use crate::ArchError;
 
 /// Lazily-materialised storage for full memory rows.
 #[derive(Debug, Clone)]
 pub struct RowStore {
     geometry: MemoryGeometry,
-    rows: RowMap<u64, Vec<u64>>,
+    /// Materialised rows. A present slot always holds a full row.
+    rows: RowTable<Vec<u64>>,
     /// One row of zeros, read in place of every unmaterialised row.
     zero: Vec<u64>,
     /// Row buffer the combine/map operations compute into. The finished
@@ -40,7 +41,7 @@ impl RowStore {
         geometry.validate().expect("valid geometry");
         Self {
             geometry,
-            rows: RowMap::default(),
+            rows: RowTable::new(geometry.total_rows()),
             zero: vec![0; geometry.row_words()],
             scratch: Vec::new(),
         }
@@ -59,7 +60,7 @@ impl RowStore {
     /// A row's words: the stored row, or the zero row if it was never
     /// materialised.
     fn operand(&self, row: RowId) -> &[u64] {
-        self.rows.get(&row.0).map_or(&self.zero, Vec::as_slice)
+        self.rows.get(row.0).map_or(&self.zero, Vec::as_slice)
     }
 
     fn check_in_range(&self, row: RowId) -> Result<(), ArchError> {
@@ -104,7 +105,7 @@ impl RowStore {
     /// [`ArchError::RowOutOfRange`] for rows outside the geometry.
     pub fn row(&self, row: RowId) -> Result<Option<&[u64]>, ArchError> {
         self.check_in_range(row)?;
-        Ok(self.rows.get(&row.0).map(Vec::as_slice))
+        Ok(self.rows.get(row.0).map(Vec::as_slice))
     }
 
     /// Reads a row into a caller-owned buffer (cleared and refilled), so
@@ -129,15 +130,19 @@ impl RowStore {
     /// [`ArchError::RowSizeMismatch`] unless `data` is exactly one row.
     pub fn write(&mut self, row: RowId, data: &[u64]) -> Result<(), ArchError> {
         self.check_full_row(row, data.len())?;
-        match self.rows.entry(row.0) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().copy_from_slice(data);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(data.to_vec());
-            }
-        }
+        let slot = self.slot(row)?;
+        slot.clear();
+        slot.extend_from_slice(data);
         Ok(())
+    }
+
+    /// `row`'s slot, materialised (as an empty buffer) if it was not.
+    /// Callers check the row first and leave a full row in the slot.
+    fn slot(&mut self, row: RowId) -> Result<&mut Vec<u64>, ArchError> {
+        let rows = self.geometry.total_rows();
+        self.rows
+            .get_or_default(row.0)
+            .ok_or(ArchError::RowOutOfRange { row: row.0, rows })
     }
 
     /// Moves a computed row into `row`'s slot without copying it. `buf`
@@ -150,12 +155,7 @@ impl RowStore {
     /// As for [`RowStore::write`]; `buf` is left as it was.
     pub(crate) fn swap_in(&mut self, row: RowId, buf: &mut Vec<u64>) -> Result<(), ArchError> {
         self.check_full_row(row, buf.len())?;
-        match self.rows.entry(row.0) {
-            std::collections::hash_map::Entry::Occupied(mut e) => std::mem::swap(e.get_mut(), buf),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(std::mem::take(buf));
-            }
-        }
+        std::mem::swap(self.slot(row)?, buf);
         Ok(())
     }
 
@@ -168,7 +168,7 @@ impl RowStore {
     /// [`ArchError::RowSizeMismatch`] unless `mask` is exactly one row.
     pub(crate) fn xor_row(&mut self, row: RowId, mask: &[u64]) -> Result<bool, ArchError> {
         self.check_full_row(row, mask.len())?;
-        let Some(words) = self.rows.get_mut(&row.0) else {
+        let Some(words) = self.rows.get_mut(row.0) else {
             return Ok(false);
         };
         for (w, m) in words.iter_mut().zip(mask) {
@@ -187,19 +187,20 @@ impl RowStore {
     pub fn copy_row(&mut self, src: RowId, dst: RowId) -> Result<(), ArchError> {
         self.check_in_range(src)?;
         self.check_in_range(dst)?;
-        if src.0 == dst.0 {
-            // `get_disjoint_mut` panics on equal keys.
-            self.rows.entry(dst.0).or_insert_with(|| self.zero.clone());
+        if src == dst {
+            let words = self.geometry.row_words();
+            let slot = self.slot(dst)?;
+            if slot.is_empty() {
+                slot.resize(words, 0);
+            }
             return Ok(());
         }
-        match self.rows.get_disjoint_mut([&src.0, &dst.0]) {
-            [Some(s), Some(d)] => d.copy_from_slice(s),
-            [None, Some(d)] => d.fill(0),
-            [s, None] => {
-                let row = s.map_or_else(|| self.zero.clone(), |s| s.clone());
-                self.rows.insert(dst.0, row);
-            }
-        }
+        // The destination's buffer is taken out for the copy, so the
+        // source can be read while it is filled.
+        let mut out = std::mem::take(self.slot(dst)?);
+        out.clear();
+        out.extend_from_slice(self.operand(src));
+        *self.slot(dst)? = out;
         Ok(())
     }
 
@@ -294,15 +295,14 @@ impl RowStore {
     pub fn fill(&mut self, row: RowId, word: u64) -> Result<(), ArchError> {
         self.check_in_range(row)?;
         let words = self.geometry.row_words();
-        self.rows
-            .entry(row.0)
-            .and_modify(|r| r.fill(word))
-            .or_insert_with(|| vec![word; words]);
+        let slot = self.slot(row)?;
+        slot.clear();
+        slot.resize(words, word);
         Ok(())
     }
 
-    /// Appends every materialised row (sorted by address, so the
-    /// encoding is deterministic) to a state snapshot.
+    /// Appends every materialised row, in ascending address order, to a
+    /// state snapshot.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         self.encode_state_copying(out, RowId(0), &[]);
     }
@@ -311,33 +311,49 @@ impl RowStore {
     /// each row of `dsts` with [`RowStore::copy_row`]: the bytes of a
     /// pending copy, without making it.
     pub(crate) fn encode_state_copying(&self, out: &mut Vec<u8>, src: RowId, dsts: &[RowId]) {
-        use crate::snapshot::{put_map, put_u64, put_words};
-        let mut view: RowMap<u64, &[u64]> =
-            self.rows.iter().map(|(&k, v)| (k, v.as_slice())).collect();
-        for dst in dsts {
-            view.insert(dst.0, self.operand(src));
+        use crate::snapshot::{put_u64, put_words};
+        let mut dsts: Vec<u64> = dsts.iter().map(|r| r.0).collect();
+        dsts.sort_unstable();
+        dsts.dedup();
+        let copied = self.operand(src);
+        let added = dsts.iter().filter(|&&d| self.rows.get(d).is_none()).count();
+        put_u64(out, (self.rows.len() + added) as u64);
+        // Merge the pending copies into the ascending walk of the store.
+        let mut pending = dsts.into_iter().peekable();
+        for (key, words) in self.rows.iter() {
+            let mut replaced = false;
+            while let Some(dst) = pending.next_if(|&d| d <= key) {
+                put_u64(out, dst);
+                put_words(out, copied);
+                replaced |= dst == key;
+            }
+            if !replaced {
+                put_u64(out, key);
+                put_words(out, words);
+            }
         }
-        put_map(out, &view, |out, k, words| {
-            put_u64(out, k);
-            put_words(out, words);
-        });
+        for dst in pending {
+            put_u64(out, dst);
+            put_words(out, copied);
+        }
     }
 
     /// Decodes a store written by [`RowStore::encode_state`] over
     /// `geometry`. `None` on malformed input, including a row outside
-    /// the geometry or of the wrong length.
+    /// the geometry (refused by [`take_table`](crate::snapshot::take_table)
+    /// before it is stored) or of the wrong length.
     ///
     /// # Panics
     ///
     /// Panics if the geometry is invalid, as [`RowStore::new`] does.
     pub fn decode_state(geometry: MemoryGeometry, buf: &[u8], pos: &mut usize) -> Option<RowStore> {
-        use crate::snapshot::{take_run, take_u64, take_words};
+        use crate::snapshot::{take_table, take_u64, take_words};
         let words = geometry.row_words();
         // Every entry is at least a row key and a word count.
-        let rows = take_run(buf, pos, 16, |buf, pos| {
+        let rows = take_table(buf, pos, geometry.total_rows(), 16, |buf, pos| {
             let key = take_u64(buf, pos)?;
             let data = take_words(buf, pos)?;
-            (geometry.contains(RowId(key)) && data.len() == words).then_some((key, data))
+            (data.len() == words).then_some((key, data))
         })?;
         Some(RowStore {
             rows,

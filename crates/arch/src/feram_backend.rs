@@ -39,7 +39,7 @@ use crate::command::Command;
 use crate::energy::{EnergyModel, LatencyModel};
 use crate::engine::{minority_words, RowStore};
 use crate::fault::{DegradationPolicy, FaultInjector, FaultSpec, ReliabilityStats};
-use crate::geometry::{MemoryGeometry, RowId, RowMap};
+use crate::geometry::{MemoryGeometry, RowId, RowTable};
 use crate::schedule::MakespanClock;
 use crate::stats::ExecStats;
 use crate::wear::WearTracker;
@@ -67,7 +67,7 @@ pub struct FeramBackend {
     latency: LatencyModel,
     stats: ExecStats,
     /// QNRO reads absorbed per group since its last write.
-    reads_since_write: RowMap<u64, u32>,
+    reads_since_write: RowTable<u32>,
     /// Reads allowed before a maintenance write-back.
     disturb_budget: u32,
     /// Write-backs issued due to disturb exhaustion.
@@ -81,7 +81,7 @@ pub struct FeramBackend {
     /// Ground-truth fault bookkeeping.
     reliability: ReliabilityStats,
     /// Logical → physical row remapping (retirement + scratch rotation).
-    remap: RowMap<u64, u64>,
+    remap: RowTable<u64>,
     /// Free physical spare rows (popped from the back).
     spares: Vec<u64>,
     command_log: Option<Vec<Command>>,
@@ -114,14 +114,14 @@ impl FeramBackend {
             energy: EnergyModel::feram_2tnc(),
             latency: LatencyModel::paper_default(),
             stats: ExecStats::new(),
-            reads_since_write: RowMap::default(),
+            reads_since_write: RowTable::new(geometry.total_rows()),
             disturb_budget: 64,
             writebacks: 0,
-            wear: WearTracker::new(),
+            wear: WearTracker::new(&geometry),
             faults: None,
             policy: DegradationPolicy::none(),
             reliability: ReliabilityStats::default(),
-            remap: RowMap::default(),
+            remap: RowTable::new(geometry.total_rows()),
             spares,
             command_log: None,
             clock: MakespanClock::per_subarray(&geometry),
@@ -170,7 +170,7 @@ impl FeramBackend {
     /// Panics unless every rate in the spec is a probability.
     pub fn with_faults(mut self, spec: FaultSpec) -> Self {
         if spec.wear_budget > 0 {
-            self.wear = WearTracker::with_budget(spec.wear_budget);
+            self.wear = WearTracker::with_budget(&self.geometry, spec.wear_budget);
         }
         self.faults = Some(FaultInjector::new(spec));
         self
@@ -230,7 +230,7 @@ impl FeramBackend {
 
     /// Physical row a logical row currently maps to.
     fn resolve(&self, row: RowId) -> u64 {
-        *self.remap.get(&row.0).unwrap_or(&row.0)
+        self.remap.get(row.0).copied().unwrap_or(row.0)
     }
 
     fn plane_of(&self, physical_row: u64, slot: u64) -> RowId {
@@ -294,9 +294,11 @@ impl FeramBackend {
     }
 
     /// Records a QNRO read on a group; issues a write-back if the disturb
-    /// budget is exhausted.
+    /// budget is exhausted. Callers check the row first.
     fn note_read(&mut self, row: RowId) {
-        let count = self.reads_since_write.entry(row.0).or_insert(0);
+        let Some(count) = self.reads_since_write.get_or_default(row.0) else {
+            return;
+        };
         *count += 1;
         if *count >= self.disturb_budget {
             *count = 0;
@@ -307,9 +309,11 @@ impl FeramBackend {
     }
 
     /// Resets the disturb counter for a logical group and records wear on
-    /// the physical row actually written.
+    /// the physical row actually written. Callers check the row first.
     fn note_write(&mut self, logical: RowId, physical_row: u64) {
-        self.reads_since_write.insert(logical.0, 0);
+        if let Some(count) = self.reads_since_write.get_or_default(logical.0) {
+            *count = 0;
+        }
         self.wear.record_write(RowId(physical_row));
     }
 
@@ -318,7 +322,7 @@ impl FeramBackend {
     /// malformed input or another geometry. The command log (if kept) and
     /// the batch clock restart empty.
     fn decode_snapshot(&self, buf: &[u8]) -> Option<Self> {
-        use crate::snapshot::{take_run, take_u32, take_u64, take_u8, take_words};
+        use crate::snapshot::{take_table, take_u32, take_u64, take_u8, take_words};
         if self.faults.is_some() {
             // Nor can a live injector's RNG state be restored.
             return None;
@@ -340,9 +344,8 @@ impl FeramBackend {
             stats: ExecStats::decode_state(buf, pos)?,
             // Disturb counters are keyed by visible row, wear counters by
             // the physical row written; both lie inside the array.
-            reads_since_write: take_run(buf, pos, 12, |buf, pos| {
-                let (row, count) = (take_u64(buf, pos)?, take_u32(buf, pos)?);
-                (row < rows).then_some((row, count))
+            reads_since_write: take_table(buf, pos, rows, 12, |buf, pos| {
+                Some((take_u64(buf, pos)?, take_u32(buf, pos)?))
             })?,
             disturb_budget: take_u32(buf, pos)?,
             writebacks: take_u64(buf, pos)?,
@@ -351,9 +354,9 @@ impl FeramBackend {
             policy: DegradationPolicy::decode_state(buf, pos)?,
             reliability: ReliabilityStats::decode_state(buf, pos)?,
             // Remaps and spares name rows of the visible array.
-            remap: take_run(buf, pos, 16, |buf, pos| {
+            remap: take_table(buf, pos, rows, 16, |buf, pos| {
                 let (logical, physical) = (take_u64(buf, pos)?, take_u64(buf, pos)?);
-                (logical < rows && physical < rows).then_some((logical, physical))
+                (physical < rows).then_some((logical, physical))
             })?,
             spares: take_words(buf, pos).filter(|spares| spares.iter().all(|&r| r < rows))?,
             command_log: self.command_log.as_ref().map(|_| Vec::new()),
@@ -380,7 +383,8 @@ impl FeramBackend {
             return;
         }
         if let Some(spare) = self.spares.pop() {
-            self.remap.insert(logical.0, spare);
+            // A scratch row lies inside the array, so the insert holds.
+            let _ = self.remap.insert(logical.0, spare);
             self.reliability.note_scratch_rotation();
         }
         // Pool empty: keep using the worn row — retirement-on-failure is
@@ -449,7 +453,8 @@ impl FeramBackend {
             }
             match self.spares.pop() {
                 Some(spare) => {
-                    self.remap.insert(logical.0, spare);
+                    // `logical` was checked on entry, so the insert holds.
+                    let _ = self.remap.insert(logical.0, spare);
                     self.reliability.note_retired_row();
                     attempts = 0;
                     self.issue(Command::WriteRow(logical));
@@ -783,7 +788,7 @@ impl BulkBackend for FeramBackend {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        use crate::snapshot::{put_map, put_u32, put_u64, put_u8, put_words};
+        use crate::snapshot::{put_table, put_u32, put_u64, put_u8, put_words};
         if self.faults.is_some() {
             // A live injector holds RNG state this codec cannot replay;
             // a restored copy would diverge from the original.
@@ -795,7 +800,7 @@ impl BulkBackend for FeramBackend {
         put_u64(&mut out, self.geometry.row_words() as u64);
         self.planes.encode_state(&mut out);
         self.stats.encode_state(&mut out);
-        put_map(&mut out, &self.reads_since_write, |out, row, &count| {
+        put_table(&mut out, &self.reads_since_write, |out, row, &count| {
             put_u64(out, row);
             put_u32(out, count);
         });
@@ -804,7 +809,7 @@ impl BulkBackend for FeramBackend {
         self.wear.encode_state(&mut out);
         self.policy.encode_state(&mut out);
         self.reliability.encode_state(&mut out);
-        put_map(&mut out, &self.remap, |out, logical, &physical| {
+        put_table(&mut out, &self.remap, |out, logical, &physical| {
             put_u64(out, logical);
             put_u64(out, physical);
         });
@@ -1281,17 +1286,30 @@ mod tests {
     }
 
     /// Disturb counters and wear counters name rows too; a snapshot with
-    /// one outside the array is refused like a stored row would be.
+    /// one outside the array is refused like a stored row would be. The
+    /// bad snapshots patch the row key of a valid one.
     #[test]
     fn restore_refuses_counter_rows_outside_the_array() {
         let rows = backend().geometry().total_rows();
-        for (row, accepted) in [(rows - 1, true), (rows, false), (u64::MAX, false)] {
-            let mut disturb = backend();
-            disturb.reads_since_write.insert(row, 0);
-            let mut wear = backend();
-            wear.wear.record_write(RowId(row));
-            for (name, b) in [("disturb", disturb), ("wear", wear)] {
-                let snap = b.snapshot_state().unwrap();
+        let last = rows - 1;
+        let mut disturb = backend();
+        disturb.reads_since_write.insert(last, 0).unwrap();
+        let mut wear = backend();
+        wear.wear.record_write(RowId(last));
+        // Version, geometry, an empty plane store and the cost counters,
+        // then the disturb run's count and its first key. The wear run's
+        // first key follows an empty disturb run, the disturb budget, the
+        // write-back count, the wear budget and the wear run's count.
+        let mut stats = Vec::new();
+        backend().stats.encode_state(&mut stats);
+        let disturb_key = 1 + 8 + 8 + 8 + stats.len() + 8;
+        let wear_key = disturb_key + 4 + 8 + 8 + 8;
+        for (name, b, at) in [("disturb", disturb, disturb_key), ("wear", wear, wear_key)] {
+            let good = b.snapshot_state().unwrap();
+            assert_eq!(good[at..at + 8], last.to_le_bytes(), "{name}");
+            for (row, accepted) in [(last, true), (rows, false), (u64::MAX, false)] {
+                let mut snap = good.clone();
+                snap[at..at + 8].copy_from_slice(&row.to_le_bytes());
                 let mut target = backend();
                 assert_eq!(target.restore_state(&snap), accepted, "{name} row {row}");
             }

@@ -1,9 +1,8 @@
 //! Memory geometry and row addressing.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 /// Identifier of one memory row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -15,28 +14,19 @@ impl fmt::Display for RowId {
     }
 }
 
-/// A map keyed by row address (a [`RowId`] or its raw `u64`), hashed by
-/// [`RowHasher`].
-pub type RowMap<K, V> = HashMap<K, V, BuildHasherDefault<RowHasher>>;
-
-/// The fixed, unkeyed hasher of every row-keyed map.
-///
-/// A row operation looks rows up in several maps, so the per-lookup cost
-/// of the default keyed SipHash is a large share of a 1 KB row-op. A
-/// keyed hasher guards against a peer choosing colliding keys; for a row
-/// map the geometry bounds that worst case instead: every key is checked
-/// against it before it is inserted, by the row op or, on a restore, by
-/// the snapshot decoder, so no map holds more entries than the array has
-/// rows. Nothing depends on hash order: every
-/// walk that produces bytes sorts by key first.
+/// The fixed, unkeyed hasher of the crate's hashed state that is not
+/// keyed by one row: the serve layer's replica digest, and the drift
+/// process's per-tick cache of hold intervals.
 ///
 /// [`write_u64`](Hasher::write_u64) folds a word in with one multiply;
 /// [`finish`](Hasher::finish) applies MurmurHash3's `fmix64` avalanche,
-/// so strided addresses (`i * 512`, plane keys `3 * row + slot`) spread
-/// over both the low bits that pick a bucket and the top bits that the
-/// table keeps as a tag. Both steps are bijections (`write_u64` in the
-/// state and in the word), so the serve layer's replica digest, which
-/// feeds an outcome's words through one, changes whenever a word does.
+/// so strided words (`i * 512`, `3 * row + slot`) spread over both the
+/// low bits that pick a bucket and the top bits that the table keeps as
+/// a tag. Both steps are bijections (`write_u64` in the state and in the
+/// word), so the replica digest, which feeds an outcome's words through
+/// one, changes whenever a word does. An unkeyed hasher is safe for the
+/// hold cache because it holds at most one entry per tracked row, which
+/// the geometry bounds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RowHasher(u64);
 
@@ -61,13 +51,201 @@ impl Hasher for RowHasher {
     }
 }
 
-// Maps keyed by `RowId` serialize with the same stringified-number keys
-// as maps keyed by the raw `u64`.
-impl serde::JsonKey for RowId {
-    fn write_key(&self, out: &mut String) {
-        serde::JsonKey::write_key(&self.0, out);
+/// Slots per [`RowTable`] page.
+const PAGE_ROWS: usize = 512;
+
+/// One [`RowTable`] page: a presence bit per slot, and the slots. An
+/// absent slot holds `T::default()`.
+#[derive(Clone)]
+struct Page<T> {
+    present: [u64; PAGE_ROWS / 64],
+    slots: [T; PAGE_ROWS],
+}
+
+/// Per-row state, indexed by row address: the store's rows, the FeRAM
+/// disturb counters and remap, wear counters, ECC side-bands and drift
+/// clocks.
+///
+/// Slots live in pages of 512 rows, allocated on the first write into
+/// the page, so an 8 GB array costs one null page pointer per 512 rows
+/// until it is used. The capacity is fixed at construction from the
+/// geometry: a key at or past it is refused, and nothing is allocated
+/// for it. That bounds every table by the array, whatever a row op or a
+/// snapshot names. A lookup is a shift, a mask and two loads, with no
+/// hashing; [`RowTable::iter`] walks present rows in ascending order, so
+/// every byte walk over a table is deterministic without a sort.
+#[derive(Clone)]
+pub struct RowTable<T> {
+    pages: Vec<Option<Box<Page<T>>>>,
+    capacity: u64,
+    len: usize,
+}
+
+impl<T: Default> RowTable<T> {
+    /// An empty table for keys `0..capacity` (normally a geometry's
+    /// [`total_rows`](MemoryGeometry::total_rows)).
+    pub fn new(capacity: u64) -> Self {
+        let pages = capacity.div_ceil(PAGE_ROWS as u64);
+        Self {
+            pages: (0..pages).map(|_| None).collect(),
+            capacity,
+            len: 0,
+        }
+    }
+
+    /// Keys `0..capacity` can be stored.
+    pub fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    /// Number of present rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// No row present?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// `key`'s page index and slot, `None` past the capacity.
+    fn locate(&self, key: u64) -> Option<(usize, usize)> {
+        (key < self.capacity).then(|| {
+            (
+                (key / PAGE_ROWS as u64) as usize,
+                (key % PAGE_ROWS as u64) as usize,
+            )
+        })
+    }
+
+    /// The value at `key`, if present.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<&T> {
+        let (page, slot) = self.locate(key)?;
+        let page = self.pages[page].as_deref()?;
+        (page.present[slot / 64] >> (slot % 64) & 1 == 1).then(|| &page.slots[slot])
+    }
+
+    /// The value at `key`, mutably, if present.
+    #[inline]
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
+        let (page, slot) = self.locate(key)?;
+        let page = self.pages[page].as_deref_mut()?;
+        (page.present[slot / 64] >> (slot % 64) & 1 == 1).then(|| &mut page.slots[slot])
+    }
+
+    /// The value at `key`, made present as `T::default()` if it was
+    /// not. `None`, with nothing allocated, past the capacity.
+    #[inline]
+    pub fn get_or_default(&mut self, key: u64) -> Option<&mut T> {
+        let (page, slot) = self.locate(key)?;
+        let page = self.pages[page].get_or_insert_with(|| {
+            Box::new(Page {
+                present: [0; PAGE_ROWS / 64],
+                slots: std::array::from_fn(|_| T::default()),
+            })
+        });
+        let (word, bit) = (&mut page.present[slot / 64], 1u64 << (slot % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.len += 1;
+        }
+        Some(&mut page.slots[slot])
+    }
+
+    /// The value at `key`, made present as `make()` if it was not.
+    /// `None`, with nothing allocated, past the capacity.
+    pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> T) -> Option<&mut T> {
+        let fresh = self.get(key).is_none();
+        let slot = self.get_or_default(key)?;
+        if fresh {
+            *slot = make();
+        }
+        Some(slot)
+    }
+
+    /// Stores `value` at `key`: `Ok` with the value it replaces, or
+    /// `Err(value)`, with nothing allocated, past the capacity.
+    pub fn insert(&mut self, key: u64, value: T) -> Result<Option<T>, T> {
+        let had = self.get(key).is_some();
+        match self.get_or_default(key) {
+            Some(slot) => {
+                let old = std::mem::replace(slot, value);
+                Ok(had.then_some(old))
+            }
+            None => Err(value),
+        }
+    }
+
+    /// Removes and returns the value at `key`, if present. The page
+    /// stays allocated.
+    pub fn remove(&mut self, key: u64) -> Option<T> {
+        let (page, slot) = self.locate(key)?;
+        let page = self.pages[page].as_deref_mut()?;
+        let (word, bit) = (&mut page.present[slot / 64], 1u64 << (slot % 64));
+        if *word & bit == 0 {
+            return None;
+        }
+        *word &= !bit;
+        self.len -= 1;
+        Some(std::mem::take(&mut page.slots[slot]))
+    }
+
+    /// Present rows and their values, in ascending row order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(index, page)| Some((index, page.as_deref()?)))
+            .flat_map(|(index, page)| {
+                let base = (index * PAGE_ROWS) as u64;
+                page.present
+                    .iter()
+                    .enumerate()
+                    .flat_map(move |(w, &bits)| {
+                        let mut bits = bits;
+                        std::iter::from_fn(move || {
+                            (bits != 0).then(|| {
+                                let bit = bits.trailing_zeros() as usize;
+                                bits &= bits - 1;
+                                w * 64 + bit
+                            })
+                        })
+                    })
+                    .map(move |slot| (base + slot as u64, &page.slots[slot]))
+            })
+    }
+
+    /// Present values, in ascending row order.
+    pub fn values(&self) -> impl Iterator<Item = &T> + '_ {
+        self.iter().map(|(_, value)| value)
     }
 }
+
+impl<T: Default + fmt::Debug> fmt::Debug for RowTable<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// A JSON object of the present rows, keys stringified, in ascending
+/// row order.
+impl<T: Default + Serialize> Serialize for RowTable<T> {
+    fn json_write(&self, out: &mut String) {
+        out.push('{');
+        for (i, (key, value)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            serde::JsonKey::write_key(&key, out);
+            out.push(':');
+            value.json_write(out);
+        }
+        out.push('}');
+    }
+}
+
+impl<T> serde::Deserialize for RowTable<T> {}
 
 /// Geometry of the simulated memory.
 ///
@@ -230,7 +408,7 @@ mod tests {
     #[test]
     fn row_hasher_spreads_strided_keys() {
         use std::collections::HashSet;
-        use std::hash::BuildHasher;
+        use std::hash::{BuildHasher, BuildHasherDefault};
         let (a, b) = (
             BuildHasherDefault::<RowHasher>::default(),
             BuildHasherDefault::<RowHasher>::default(),

@@ -13,17 +13,19 @@
 //! Two invariants every codec here keeps, each owned by one primitive
 //! so no caller can get it wrong:
 //!
-//! * **determinism** — hash maps are written only through [`put_map`],
-//!   which emits them sorted by key, so
-//!   `snapshot(restore(snapshot(x))) == snapshot(x)` byte for byte;
+//! * **determinism** — per-row state lives in [`RowTable`]s, written
+//!   only through [`put_table`], which emits them in ascending row order,
+//!   so `snapshot(restore(snapshot(x))) == snapshot(x)` byte for byte;
 //! * **allocation guards** — count-prefixed runs are read only through
-//!   [`take_run`], or its two specialisations for flat runs
-//!   ([`take_words`], [`take_bytes`]), each of which checks the count
-//!   against the remaining input before allocating, so a corrupt,
-//!   truncated or crafted snapshot is rejected (`None`) instead of
-//!   panicking or aborting.
+//!   [`take_run`], its two specialisations for flat runs
+//!   ([`take_words`], [`take_bytes`]), or [`take_table`], each of which
+//!   checks the count against the remaining input before allocating, so
+//!   a corrupt, truncated or crafted snapshot is rejected (`None`)
+//!   instead of panicking or aborting. [`take_table`] also refuses a row
+//!   past the table's capacity, which the decoder takes from the
+//!   geometry, before storing it.
 
-use std::collections::HashMap;
+use crate::geometry::RowTable;
 
 /// Appends one byte.
 pub fn put_u8(out: &mut Vec<u8>, v: u8) {
@@ -114,26 +116,22 @@ pub fn take_words(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
     Some(words.iter().map(|&w| u64::from_le_bytes(w)).collect())
 }
 
-/// Appends a map as a count-prefixed run of entries sorted by key, each
-/// written by `put_entry`, so the bytes never depend on hash order —
-/// neither on the hasher nor on the insertion history that shapes a
-/// table's iteration order under any one hasher.
-pub fn put_map<K: Ord + Copy, V, S>(
+/// Appends a table as a count-prefixed run of its present rows in
+/// ascending order, each written by `put_entry`.
+pub fn put_table<T: Default>(
     out: &mut Vec<u8>,
-    map: &HashMap<K, V, S>,
-    mut put_entry: impl FnMut(&mut Vec<u8>, K, &V),
+    table: &RowTable<T>,
+    mut put_entry: impl FnMut(&mut Vec<u8>, u64, &T),
 ) {
-    let mut entries: Vec<(K, &V)> = map.iter().map(|(&k, v)| (k, v)).collect();
-    entries.sort_unstable_by_key(|&(k, _)| k);
-    put_u64(out, entries.len() as u64);
-    for (k, v) in entries {
-        put_entry(out, k, v);
+    put_u64(out, table.len() as u64);
+    for (row, value) in table.iter() {
+        put_entry(out, row, value);
     }
 }
 
 /// Reads a count-prefixed run of items, each decoded by `take_item` and
-/// at least `min_item_len` (nonzero) bytes long, into a `Vec` or (from
-/// `(key, value)` items) a `HashMap`. The count is checked against the
+/// at least `min_item_len` (nonzero) bytes long, into a `Vec` (or any
+/// other collection). The count is checked against the
 /// remaining input *before* anything is allocated, and the checked count
 /// is reserved once, so no count a peer can write makes this allocate
 /// more than the input could describe. `None` on short input, an
@@ -157,6 +155,33 @@ pub fn take_run<T, C: FromIterator<T>>(
     Some(items.into_iter().collect())
 }
 
+/// Reads a run written by [`put_table`] into a fresh table for rows
+/// `0..rows`: each `(row, value)` item is decoded by `take_item` and at
+/// least `min_item_len` (nonzero) bytes long. The count is checked
+/// against the remaining input as [`take_run`] checks it, and a row at
+/// or past `rows` is refused before it is stored, so nothing a peer
+/// writes makes the table allocate past its capacity. `None` on short
+/// input, an impossible count, a row out of range, or an item
+/// `take_item` refuses.
+pub fn take_table<T: Default>(
+    buf: &[u8],
+    pos: &mut usize,
+    rows: u64,
+    min_item_len: usize,
+    mut take_item: impl FnMut(&[u8], &mut usize) -> Option<(u64, T)>,
+) -> Option<RowTable<T>> {
+    let n = take_u64(buf, pos)?;
+    if n > ((buf.len() - *pos) / min_item_len) as u64 {
+        return None;
+    }
+    let mut table = RowTable::new(rows);
+    for _ in 0..n {
+        let (row, value) = take_item(buf, pos)?;
+        table.insert(row, value).ok()?;
+    }
+    Some(table)
+}
+
 /// Appends a byte slice as a count-prefixed run.
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_u64(out, bytes.len() as u64);
@@ -178,7 +203,7 @@ pub fn take_bytes(buf: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::RowMap;
+    use std::collections::HashMap;
 
     #[test]
     fn primitives_round_trip() {
@@ -240,55 +265,50 @@ mod tests {
     }
 
     #[test]
-    fn maps_are_emitted_sorted_and_read_back() {
-        let map: HashMap<u64, u32> = [(9, 90), (2, 20), (u64::MAX, 1), (0, 0), (5, 50)].into();
-        let mut buf = Vec::new();
-        put_map(&mut buf, &map, |out, k, &v| {
-            put_u64(out, k);
-            put_u32(out, v);
-        });
-        let mut pos = 0;
-        let entry = |buf: &[u8], pos: &mut usize| Some((take_u64(buf, pos)?, take_u32(buf, pos)?));
-        let in_order: Vec<(u64, u32)> = take_run(&buf, &mut pos, 12, entry).unwrap();
-        assert_eq!(in_order, [(0, 0), (2, 20), (5, 50), (9, 90), (u64::MAX, 1)]);
-        let mut pos = 0;
-        assert_eq!(take_run(&buf, &mut pos, 12, entry), Some(map));
-        assert_eq!(pos, buf.len());
-
-        // Under the fixed row hasher, iteration order follows insertion
-        // history; the bytes must not. Ascending inserts against
-        // descending inserts interleaved with removals of extra keys.
-        let put = |map: &RowMap<u64, u32>| {
+    fn tables_are_emitted_in_row_order_and_read_back() {
+        let rows = 4096;
+        let mut keys: Vec<u64> = (0..8).map(|i| i * 512).collect();
+        keys.extend([3, 511, 513, rows - 1]);
+        keys.sort_unstable();
+        let put = |table: &RowTable<u32>| {
             let mut buf = Vec::new();
-            put_map(&mut buf, map, |out, k, &v| {
+            put_table(&mut buf, table, |out, k, &v| {
                 put_u64(out, k);
                 put_u32(out, v);
             });
             buf
         };
-        let keys: Vec<u64> = (0..300)
-            .map(|i| i * 512)
-            .chain([3, 1 << 40, u64::MAX])
-            .collect();
-        let mut ascending = RowMap::default();
+        // Ascending inserts against descending inserts interleaved with
+        // inserts and removals of decoy rows: the bytes depend on the
+        // contents alone.
+        let mut ascending = RowTable::new(rows);
         for &k in &keys {
-            ascending.insert(k, k as u32 ^ 0x5A5A);
+            assert_eq!(ascending.insert(k, k as u32 ^ 0x5A5A), Ok(None));
         }
-        let mut descending = RowMap::default();
+        let mut descending = RowTable::new(rows);
         for &k in keys.iter().rev() {
-            descending.insert(k ^ 1, 0);
-            descending.insert(k, k as u32 ^ 0x5A5A);
-            if k % 3 == 0 {
-                descending.remove(&(k ^ 1));
+            let decoy = k ^ 1;
+            if !keys.contains(&decoy) {
+                assert_eq!(descending.insert(decoy, 0), Ok(None));
+            }
+            descending.insert(k, k as u32 ^ 0x5A5A).unwrap();
+            if !keys.contains(&decoy) {
+                assert_eq!(descending.remove(decoy), Some(0));
             }
         }
-        descending.retain(|k, _| keys.contains(k));
-        assert_eq!(ascending, descending);
-        assert!(
-            ascending.keys().ne(descending.keys()),
-            "the histories must differ in order"
-        );
-        assert_eq!(put(&ascending), put(&descending));
+        let buf = put(&ascending);
+        assert_eq!(put(&descending), buf);
+        let entry = |buf: &[u8], pos: &mut usize| Some((take_u64(buf, pos)?, take_u32(buf, pos)?));
+        let mut pos = 0;
+        let in_order: Vec<(u64, u32)> = take_run(&buf, &mut pos, 12, entry).unwrap();
+        let want: Vec<(u64, u32)> = keys.iter().map(|&k| (k, k as u32 ^ 0x5A5A)).collect();
+        assert_eq!(in_order, want);
+        let mut pos = 0;
+        let back = take_table(&buf, &mut pos, rows, 12, entry).unwrap();
+        assert_eq!((pos, back.capacity()), (buf.len(), rows));
+        assert_eq!(put(&back), buf);
+        // The last row is one past a smaller table's capacity.
+        assert!(take_table(&buf, &mut 0, rows - 1, 12, entry).is_none());
     }
 
     /// The chunked `take_words` against the per-word `take_run` it

@@ -7,13 +7,13 @@
 //! an endurance budget, so workloads can check their wear profile and
 //! future controllers could rotate scratch rows.
 
-use crate::geometry::{MemoryGeometry, RowId, RowMap};
+use crate::geometry::{MemoryGeometry, RowId, RowTable};
 use serde::{Deserialize, Serialize};
 
 /// Per-row write counters with an endurance budget.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WearTracker {
-    writes: RowMap<RowId, u64>,
+    writes: RowTable<u64>,
     endurance_budget: u64,
 }
 
@@ -36,32 +36,37 @@ pub struct WearReport {
 }
 
 impl WearTracker {
-    /// A tracker with the paper's demonstrated 10⁶-cycle budget.
-    pub fn new() -> Self {
-        Self::with_budget(1_000_000)
+    /// A tracker for the rows of `geometry` with the paper's
+    /// demonstrated 10⁶-cycle budget.
+    pub fn new(geometry: &MemoryGeometry) -> Self {
+        Self::with_budget(geometry, 1_000_000)
     }
 
-    /// A tracker with a custom endurance budget.
+    /// A tracker for the rows of `geometry` with a custom endurance
+    /// budget.
     ///
     /// # Panics
     ///
     /// Panics if the budget is zero.
-    pub fn with_budget(endurance_budget: u64) -> Self {
+    pub fn with_budget(geometry: &MemoryGeometry, endurance_budget: u64) -> Self {
         assert!(endurance_budget > 0, "endurance budget must be positive");
         Self {
-            writes: RowMap::default(),
+            writes: RowTable::new(geometry.total_rows()),
             endurance_budget,
         }
     }
 
-    /// Records one full write of `row`.
+    /// Records one full write of `row`. A row outside the geometry is
+    /// not counted.
     pub fn record_write(&mut self, row: RowId) {
-        *self.writes.entry(row).or_insert(0) += 1;
+        if let Some(n) = self.writes.get_or_default(row.0) {
+            *n += 1;
+        }
     }
 
     /// Write count of a row.
     pub fn writes(&self, row: RowId) -> u64 {
-        self.writes.get(&row).copied().unwrap_or(0)
+        self.writes.get(row.0).copied().unwrap_or(0)
     }
 
     /// The endurance budget.
@@ -86,34 +91,33 @@ impl WearTracker {
         }
     }
 
-    /// Appends budget and per-row counters (sorted by row) to a state
+    /// Appends budget and per-row counters (in row order) to a state
     /// snapshot.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
-        use crate::snapshot::{put_map, put_u64};
+        use crate::snapshot::{put_table, put_u64};
         put_u64(out, self.endurance_budget);
-        put_map(out, &self.writes, |out, row, &n| {
-            put_u64(out, row.0);
+        put_table(out, &self.writes, |out, row, &n| {
+            put_u64(out, row);
             put_u64(out, n);
         });
     }
 
     /// Decodes a tracker written by [`WearTracker::encode_state`] for a
     /// backend over `geometry`. `None` on malformed input, including a
-    /// zero budget or a row outside the geometry (checked before the row
-    /// is inserted, which bounds the map by the array).
+    /// zero budget or a row outside the geometry (refused before it is
+    /// stored, which bounds the table by the array).
     pub fn decode_state(
         geometry: MemoryGeometry,
         buf: &[u8],
         pos: &mut usize,
     ) -> Option<WearTracker> {
-        use crate::snapshot::{take_run, take_u64};
+        use crate::snapshot::{take_table, take_u64};
         let endurance_budget = take_u64(buf, pos)?;
         if endurance_budget == 0 {
             return None;
         }
-        let writes = take_run(buf, pos, 16, |buf, pos| {
-            let (row, n) = (RowId(take_u64(buf, pos)?), take_u64(buf, pos)?);
-            geometry.contains(row).then_some((row, n))
+        let writes = take_table(buf, pos, geometry.total_rows(), 16, |buf, pos| {
+            Some((take_u64(buf, pos)?, take_u64(buf, pos)?))
         })?;
         Some(WearTracker {
             writes,
@@ -121,18 +125,15 @@ impl WearTracker {
         })
     }
 
-    /// Rows whose write count exceeds `fraction` of the budget — the
-    /// candidates for wear-levelling rotation.
+    /// Rows whose write count exceeds `fraction` of the budget, in row
+    /// order — the candidates for wear-levelling rotation.
     pub fn hot_rows(&self, fraction: f64) -> Vec<RowId> {
         let threshold = (self.endurance_budget as f64 * fraction) as u64;
-        let mut rows: Vec<RowId> = self
-            .writes
+        self.writes
             .iter()
-            .filter(|(_, &n)| n > threshold)
-            .map(|(&r, _)| r)
-            .collect();
-        rows.sort();
-        rows
+            .filter(|&(_, &n)| n > threshold)
+            .map(|(r, _)| RowId(r))
+            .collect()
     }
 }
 
@@ -140,9 +141,13 @@ impl WearTracker {
 mod tests {
     use super::*;
 
+    fn tiny() -> MemoryGeometry {
+        MemoryGeometry::tiny()
+    }
+
     #[test]
     fn counts_and_reports() {
-        let mut w = WearTracker::with_budget(100);
+        let mut w = WearTracker::with_budget(&tiny(), 100);
         for _ in 0..10 {
             w.record_write(RowId(1));
         }
@@ -159,7 +164,7 @@ mod tests {
 
     #[test]
     fn empty_tracker_is_immortal() {
-        let w = WearTracker::new();
+        let w = WearTracker::new(&tiny());
         let r = w.report();
         assert_eq!(r.max_row_writes, 0);
         assert_eq!(r.repeatable_runs, None);
@@ -172,7 +177,7 @@ mod tests {
         // `f64::INFINITY` for an empty tracker — which serializes to JSON
         // `null` and then failed to parse back as a number. The unbounded
         // case must round-trip as an explicit null.
-        let empty = WearTracker::new().report();
+        let empty = WearTracker::new(&tiny()).report();
         let json = serde_json::to_string(&empty).unwrap();
         let value: serde_json::Value = serde_json::from_str(&json).expect("report JSON must parse");
         assert!(
@@ -182,7 +187,7 @@ mod tests {
             "unbounded runs must be an explicit null: {json}"
         );
 
-        let mut w = WearTracker::with_budget(100);
+        let mut w = WearTracker::with_budget(&tiny(), 100);
         w.record_write(RowId(4));
         let bounded = w.report();
         let json = serde_json::to_string(&bounded).unwrap();
@@ -198,7 +203,7 @@ mod tests {
     fn tracker_json_uses_stringified_row_keys() {
         // The map moved from `u64` to `RowId` keys; the JSON shape must
         // not change (stringified numeric keys).
-        let mut w = WearTracker::with_budget(10);
+        let mut w = WearTracker::with_budget(&tiny(), 10);
         w.record_write(RowId(3));
         w.record_write(RowId(3));
         let json = serde_json::to_string(&w).unwrap();
@@ -207,7 +212,7 @@ mod tests {
 
     #[test]
     fn hot_rows_are_sorted_and_thresholded() {
-        let mut w = WearTracker::with_budget(10);
+        let mut w = WearTracker::with_budget(&tiny(), 10);
         for _ in 0..9 {
             w.record_write(RowId(7));
         }
@@ -222,18 +227,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "budget must be positive")]
     fn rejects_zero_budget() {
-        let _ = WearTracker::with_budget(0);
+        let _ = WearTracker::with_budget(&tiny(), 0);
     }
 
     #[test]
     fn decode_refuses_rows_outside_the_geometry() {
         let geometry = MemoryGeometry::tiny();
         let last = geometry.total_rows() - 1;
+        let mut w = WearTracker::with_budget(&geometry, 100);
+        w.record_write(RowId(last));
+        let mut good = Vec::new();
+        w.encode_state(&mut good);
+        // The budget and the entry count, then the only entry's row key.
+        let key = 16..24;
+        assert_eq!(good[key.clone()], last.to_le_bytes());
         for (row, accepted) in [(last, true), (last + 1, false), (u64::MAX, false)] {
-            let mut w = WearTracker::with_budget(100);
-            w.record_write(RowId(row));
-            let mut snap = Vec::new();
-            w.encode_state(&mut snap);
+            let mut snap = good.clone();
+            snap[key.clone()].copy_from_slice(&row.to_le_bytes());
             let decoded = WearTracker::decode_state(geometry, &snap, &mut 0);
             let writes = decoded.map(|d| d.writes(RowId(row)));
             assert_eq!(writes, accepted.then_some(1), "row {row}");

@@ -13,9 +13,9 @@ use felim_arch::{MemoryGeometry, RowId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Rows the programs touch: both ends of the tiny geometry and a few
-/// in between.
-const POOL: [u64; 6] = [0, 1, 2, 63, 64, 1023];
+/// Rows the programs touch: both ends of the tiny geometry, a few in
+/// between, and both sides of the store's 512-row page boundary.
+const POOL: [u64; 9] = [0, 1, 2, 63, 64, 511, 512, 513, 1023];
 
 #[derive(Debug, Clone)]
 enum Step {
