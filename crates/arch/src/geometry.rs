@@ -153,17 +153,6 @@ impl<T: Default> RowTable<T> {
         Some(&mut page.slots[slot])
     }
 
-    /// The value at `key`, made present as `make()` if it was not.
-    /// `None`, with nothing allocated, past the capacity.
-    pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> T) -> Option<&mut T> {
-        let fresh = self.get(key).is_none();
-        let slot = self.get_or_default(key)?;
-        if fresh {
-            *slot = make();
-        }
-        Some(slot)
-    }
-
     /// Stores `value` at `key`: `Ok` with the value it replaces, or
     /// `Err(value)`, with nothing allocated, past the capacity.
     pub fn insert(&mut self, key: u64, value: T) -> Result<Option<T>, T> {

@@ -83,7 +83,6 @@ fn edge_keys() -> [u64; 9] {
 enum Op {
     Insert(u64, u32),
     Get(u64),
-    GetOrInsert(u64, u32),
     GetOrDefault(u64),
     Update(u64, u32),
     Remove(u64),
@@ -102,7 +101,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (key_strategy(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k, v)),
         key_strategy().prop_map(Op::Get),
-        (key_strategy(), any::<u32>()).prop_map(|(k, v)| Op::GetOrInsert(k, v)),
         key_strategy().prop_map(Op::GetOrDefault),
         (key_strategy(), any::<u32>()).prop_map(|(k, v)| Op::Update(k, v)),
         key_strategy().prop_map(Op::Remove),
@@ -123,10 +121,6 @@ proptest! {
                 }
                 Op::Get(k) => {
                     prop_assert_eq!(table.get(k), model.get(&k), "step {}", i);
-                }
-                Op::GetOrInsert(k, v) => {
-                    let got = table.get_or_insert_with(k, || v).copied();
-                    prop_assert_eq!(got, Some(*model.entry(k).or_insert(v)), "step {}", i);
                 }
                 Op::GetOrDefault(k) => {
                     let got = table.get_or_default(k).copied();
@@ -161,7 +155,6 @@ fn keys_past_the_capacity_are_refused_without_allocating() {
     let ((), allocations, _) = allocations_during(|| {
         for key in [cap, cap + 1, cap + 512, 1 << 59, u64::MAX] {
             assert!(table.get_or_default(key).is_none(), "key {key}");
-            assert!(table.get_or_insert_with(key, || vec![1; 1024]).is_none());
             assert_eq!(table.insert(key, Vec::new()), Err(Vec::new()));
             assert!(table.get(key).is_none());
             assert!(table.get_mut(key).is_none());
